@@ -49,6 +49,9 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
+#: The keys of ``RunRecord.to_jsonable()``: a stored record's layout.
+_RECORD_KEYS = frozenset(RunRecord.__dataclass_fields__) - {"cached"}
+
 
 def cache_key(config: ExperimentConfig) -> str:
     """The content address of one experiment configuration."""
@@ -157,8 +160,23 @@ class ResultCache:
 
     def load(self, config: ExperimentConfig) -> Optional[RunRecord]:
         """The stored record for this exact configuration, or ``None``."""
-        key = cache_key(config)
-        name = self._name(config.exp_id, key)
+        data = self.load_jsonable(config.exp_id, cache_key(config))
+        if data is None:
+            return None
+        record = RunRecord.from_jsonable(data)
+        record.cached = True
+        return record
+
+    def load_jsonable(self, exp_id: str, key: str) -> Optional[Dict[str, Any]]:
+        """The stored record under ``key`` as ``RunRecord.to_jsonable()``
+        would give it, or ``None``.
+
+        The dict is the one parsed from the stored bytes, handed over
+        without a ``RunRecord`` round trip (whose ``asdict`` would
+        deep-copy every nested table): the serve warm path puts it
+        straight into the job envelope. The caller owns it.
+        """
+        name = self._name(exp_id, key)
         raw = self._store.read(name)
         if raw is None:
             return None
@@ -171,9 +189,11 @@ class ResultCache:
         # A hit is a "use" in LRU terms: bump the mtime so the
         # eviction policy sees hot records as young.
         self._store.touch(name)
-        record = RunRecord.from_jsonable(data)
-        record.cached = True
-        return record
+        if data.keys() != _RECORD_KEYS:
+            # An older record layout: fill in the fields added since
+            # (and drop unknown ones) exactly as a RunRecord would.
+            data = RunRecord.from_jsonable(data).to_jsonable()
+        return data
 
     def store(self, record: RunRecord) -> Path:
         """Persist one record; atomic under concurrent writers."""

@@ -332,8 +332,9 @@ class JobQueue:
             message = exc.args[0] if exc.args else str(exc)
             raise SchemaError(str(message)) from exc
 
+        key = cache_key(config)
         job = Job(
-            job_id=cache_key(config),
+            job_id=key,
             kind="run",
             params={
                 "experiment": request.exp_id,
@@ -344,10 +345,10 @@ class JobQueue:
 
         warm = None
         if not request.force:
-            warm = self.cache.load(config)
+            warm = self.cache.load_jsonable(config.exp_id, key)
         if warm is not None:
             job.started_at = job.submitted_at
-            job.finish(warm.to_jsonable(), simulated=False)
+            job.finish(warm, simulated=False)
 
         # A warm answer or a force re-run may displace an old finished
         # envelope under the same content hash; in-flight jobs are
@@ -432,9 +433,9 @@ class JobQueue:
         # While this job sat in the queue a peer replica may have
         # published the record; serve it instead of re-simulating.
         if not request.force:
-            warm = self.cache.load(config)
+            warm = self.cache.load_jsonable(config.exp_id, job.job_id)
             if warm is not None:
-                job.finish(warm.to_jsonable(), simulated=False)
+                job.finish(warm, simulated=False)
                 return
 
         if self.cache.coordinates_writers:

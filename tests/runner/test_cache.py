@@ -47,6 +47,30 @@ def test_store_load_roundtrip(tmp_path):
     assert loaded.rendered == record.rendered
 
 
+def test_load_jsonable_is_the_records_jsonable(tmp_path):
+    cache = ResultCache(tmp_path)
+    config = EXPERIMENTS["gauss"].config
+    key = cache_key(config)
+    record = _record(key)
+    cache.store(record)
+    assert cache.load_jsonable("gauss", key) == record.to_jsonable()
+    assert cache.load_jsonable("gauss", "0" * 64) is None
+
+
+def test_load_jsonable_reads_an_older_layout_like_a_record(tmp_path):
+    """A record stored before some fields existed (or with one since
+    retired) reads exactly as a RunRecord round trip gives it."""
+    cache = ResultCache(tmp_path)
+    config = EXPERIMENTS["gauss"].config
+    key = cache_key(config)
+    path = cache.store(_record(key))
+    data = json.loads(path.read_text())
+    del data["preset"], data["trace_path"]
+    data["retired"] = 1
+    path.write_text(json.dumps(data))
+    assert cache.load_jsonable("gauss", key) == _record(key).to_jsonable()
+
+
 def test_miss_on_config_change(tmp_path):
     cache = ResultCache(tmp_path)
     config = EXPERIMENTS["gauss"].config

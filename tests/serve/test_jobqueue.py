@@ -132,10 +132,31 @@ class TestWarmPath:
             assert job.state == DONE  # terminal at submission time
             assert job.simulated is False
             assert job.result["rendered"] == "warm"
+            assert job.result == cache.load(config).to_jsonable()
             assert executor.calls == 0
             assert elapsed < 0.25, f"warm path took {elapsed:.3f}s"
         finally:
             queue.stop()
+
+    def test_warm_submission_hashes_its_config_once(self, cache, monkeypatch):
+        """The job ID and the cache read share one key computation."""
+        import repro.runner.cache as cache_module
+        import repro.serve.jobqueue as jobqueue_module
+
+        config = resolve_config("validation")
+        cache.store(make_record(config, payload="warm"))
+        keyed = []
+
+        def counting_key(config):
+            keyed.append(config)
+            return cache_key(config)
+
+        monkeypatch.setattr(jobqueue_module, "cache_key", counting_key)
+        monkeypatch.setattr(cache_module, "cache_key", counting_key)
+        queue = JobQueue(cache=cache, run_executor=CountingExecutor())
+        job = queue.submit_run(RunRequest(exp_id="validation"))
+        assert job.state == DONE and job.simulated is False
+        assert len(keyed) == 1
 
     def test_resubmission_after_cold_run_is_warm(self, cache):
         executor = CountingExecutor()

@@ -339,6 +339,64 @@ class TestKeepAliveDesync:
             conn.close()
 
 
+class TestKeepAliveLatency:
+    """Back-to-back warm reads on one persistent connection. Without
+    TCP_NODELAY on the server each waits out the client's delayed ACK
+    (~40 ms on Linux) behind Nagle's algorithm; with it each takes a
+    millisecond or two, so a 20 ms median separates the two widely."""
+
+    def test_warm_posts_on_one_connection_do_not_stall(self, server):
+        import http.client
+        import statistics
+
+        body = {"experiment": "validation"}
+        status, submitted = post(server, "/v1/runs", body)
+        assert poll(server, submitted["job_id"])["state"] == "done"
+
+        host, port = server.address
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        payload = json.dumps(body).encode("utf-8")
+        times, sockets = [], set()
+        try:
+            for _ in range(20):
+                started = time.perf_counter()
+                conn.request("POST", "/v1/runs", body=payload,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                envelope = json.loads(response.read())
+                times.append(time.perf_counter() - started)
+                assert response.status == 200
+                assert envelope["simulated"] is False
+                sockets.add(id(conn.sock))
+        finally:
+            conn.close()
+        assert len(sockets) == 1, "connection was not reused"
+        median = statistics.median(times)
+        assert median < 0.02, f"warm keep-alive median {median * 1e3:.1f} ms"
+
+
+class TestClientHangUp:
+    def test_client_reset_prints_no_traceback(self, server, capfd):
+        """A keep-alive client that resets its idle connection is a log
+        line (silent here: the server is quiet), not a stderr traceback."""
+        import socket
+        import struct
+
+        host, port = server.address
+        sock = socket.create_connection((host, port), timeout=10)
+        sock.sendall(
+            f"GET /healthz HTTP/1.1\r\nHost: {host}\r\n\r\n".encode("ascii")
+        )
+        assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+        # Linger 0: close() sends RST while the handler awaits a request.
+        sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        sock.close()
+        time.sleep(0.5)
+        assert "Traceback" not in capfd.readouterr().err
+
+
 class TestLongPoll:
     def test_wait_returns_immediately_for_done_job(self, server):
         status, job = post(server, "/v1/runs", {"experiment": "validation"})

@@ -18,7 +18,10 @@ the background; locally: ``python -m repro serve --port 8737 &``):
 6. issue a mixed keep-alive sequence (valid POST, unknown path,
    malformed JSON, health GET) over ONE persistent connection and
    require every response to match its request — guards against
-   HTTP/1.1 request desync from undrained bodies.
+   HTTP/1.1 request desync from undrained bodies;
+7. send back-to-back warm reads over one persistent connection and
+   require their median under a budget — guards against the ~40 ms
+   per-request stall of a server that leaves Nagle's algorithm on.
 
 Exit code 0 on success, 1 on any violated expectation (with a message
 on stderr). Stdlib only — usable from CI, cron, or a shell.
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import http.client
 import json
+import statistics
 import sys
 import time
 import urllib.error
@@ -137,6 +141,44 @@ def check_keepalive(url: str, body: dict) -> list:
     return failures
 
 
+#: Back-to-back warm reads on one connection, and the median they must
+#: stay under (a server that leaves Nagle's algorithm on takes ~40 ms).
+KEEPALIVE_READS = 20
+KEEPALIVE_BUDGET_S = 0.02
+
+
+def check_warm_keepalive(url: str, body: dict) -> list:
+    """Back-to-back warm reads on one persistent connection stay fast."""
+    parts = urllib.parse.urlsplit(url)
+    conn = http.client.HTTPConnection(
+        parts.hostname, parts.port or 80, timeout=30
+    )
+    payload = json.dumps(body).encode()
+    times = []
+    try:
+        for _ in range(KEEPALIVE_READS):
+            started = time.perf_counter()
+            conn.request("POST", "/v1/runs", body=payload,
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            answer = json.loads(response.read())
+            times.append(time.perf_counter() - started)
+            if response.status != 200 or answer.get("simulated") is not False:
+                return [f"warm keep-alive read: HTTP {response.status}, "
+                        f"simulated={answer.get('simulated')}"]
+    except (http.client.HTTPException, OSError, json.JSONDecodeError) as exc:
+        return [f"warm keep-alive reads failed: {exc!r}"]
+    finally:
+        conn.close()
+    median = statistics.median(times)
+    print(f"warm keep-alive: {KEEPALIVE_READS} reads on one connection, "
+          f"median {median*1000:.1f}ms")
+    if median > KEEPALIVE_BUDGET_S:
+        return [f"warm keep-alive median {median*1000:.1f}ms over "
+                f"{KEEPALIVE_BUDGET_S*1000:.0f}ms (a delayed-ACK stall?)"]
+    return []
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--url", default="http://127.0.0.1:8737",
@@ -191,6 +233,7 @@ def main(argv=None) -> int:
 
     failures.extend(check_long_poll(url, job["job_id"]))
     failures.extend(check_keepalive(url, body))
+    failures.extend(check_warm_keepalive(url, body))
 
     status, health = get(url, "/healthz")
     if health["queue"]["jobs"]["failed"]:
