@@ -2,7 +2,11 @@
 
 Each application has a machine-independent numeric core (``common``)
 plus a message-passing and a shared-memory program built on the same
-algorithm — the paper's methodology for comparable measurements:
+algorithm — the paper's methodology for comparable measurements. The
+app's frozen workload config (``MseConfig``, ``GaussConfig``, ...)
+lives in the app package itself, which imports nothing else, so the
+experiment registry builds configs without loading numpy or the
+simulator:
 
 * :mod:`repro.apps.mse` — microstructure electrostatics (boundary
   integral, asynchronous Jacobi with an interaction schedule);

@@ -1,15 +1,32 @@
 """EM3D: electromagnetic-wave propagation on a bipartite graph
 (paper Section 5.3)."""
 
-from repro.apps.em3d.common import Em3dConfig, Em3dGraph, build_graph, reference_values
-from repro.apps.em3d.mp import run_em3d_mp
-from repro.apps.em3d.sm import run_em3d_sm
+from __future__ import annotations
 
-__all__ = [
-    "Em3dConfig",
-    "Em3dGraph",
-    "build_graph",
-    "reference_values",
-    "run_em3d_mp",
-    "run_em3d_sm",
-]
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Em3dConfig:
+    """Workload parameters for one EM3D run."""
+
+    nodes_per_proc: int = 1000  # E nodes (and H nodes) per processor
+    degree: int = 10  # out-degree of every node
+    remote_frac: float = 0.20  # fraction of edges pointing off-processor
+    iterations: int = 50
+    seed: int = 1994
+
+    @classmethod
+    def paper(cls) -> "Em3dConfig":
+        return cls()
+
+    @classmethod
+    def small(
+        cls,
+        nodes_per_proc: int = 30,
+        degree: int = 4,
+        remote_frac: float = 0.20,
+        iterations: int = 4,
+        seed: int = 1994,
+    ) -> "Em3dConfig":
+        return cls(nodes_per_proc, degree, remote_frac, iterations, seed)

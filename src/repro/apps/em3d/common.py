@@ -22,6 +22,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.apps.em3d import Em3dConfig
 from repro.sim.rng import RngStreams
 
 #: Kinds of graph node. E nodes read from H nodes and vice versa.
@@ -34,32 +35,6 @@ KIND_NAMES = {E: "E", H: "H"}
 #: 18.2M cycles over ~40K edges per processor.
 BUILD_OPS_PER_EDGE = 150
 BUILD_OPS_PER_NODE = 200
-
-
-@dataclass(frozen=True)
-class Em3dConfig:
-    """Workload parameters for one EM3D run."""
-
-    nodes_per_proc: int = 1000  # E nodes (and H nodes) per processor
-    degree: int = 10  # out-degree of every node
-    remote_frac: float = 0.20  # fraction of edges pointing off-processor
-    iterations: int = 50
-    seed: int = 1994
-
-    @classmethod
-    def paper(cls) -> "Em3dConfig":
-        return cls()
-
-    @classmethod
-    def small(
-        cls,
-        nodes_per_proc: int = 30,
-        degree: int = 4,
-        remote_frac: float = 0.20,
-        iterations: int = 4,
-        seed: int = 1994,
-    ) -> "Em3dConfig":
-        return cls(nodes_per_proc, degree, remote_frac, iterations, seed)
 
 
 @dataclass

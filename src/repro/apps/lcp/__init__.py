@@ -1,13 +1,27 @@
 """LCP: linear complementarity by multi-sweep SOR (paper Section 5.4)."""
 
-from repro.apps.lcp.common import LcpConfig, LcpProblem, generate_problem
-from repro.apps.lcp.mp import run_lcp_mp
-from repro.apps.lcp.sm import run_lcp_sm
+from __future__ import annotations
 
-__all__ = [
-    "LcpConfig",
-    "LcpProblem",
-    "generate_problem",
-    "run_lcp_mp",
-    "run_lcp_sm",
-]
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class LcpConfig:
+    """Workload parameters for one LCP run."""
+
+    n: int = 4096  # variables (the paper's run)
+    band: int = 4  # off-diagonal non-zeros per side (uniform rows)
+    stride_couples: int = 1  # circulant long-range couplings per side
+    sweeps_per_step: int = 5
+    omega: float = 1.0  # SOR relaxation factor
+    tolerance: float = 1e-6
+    max_steps: int = 200
+    seed: int = 1994
+
+    @classmethod
+    def paper(cls) -> "LcpConfig":
+        return cls()
+
+    @classmethod
+    def small(cls, n: int = 64, seed: int = 1994, **kwargs) -> "LcpConfig":
+        return cls(n=n, seed=seed, **kwargs)

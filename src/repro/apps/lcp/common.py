@@ -21,29 +21,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.apps.lcp import LcpConfig
 from repro.sim.rng import RngStreams
-
-
-@dataclass(frozen=True)
-class LcpConfig:
-    """Workload parameters for one LCP run."""
-
-    n: int = 4096  # variables (the paper's run)
-    band: int = 4  # off-diagonal non-zeros per side (uniform rows)
-    stride_couples: int = 1  # circulant long-range couplings per side
-    sweeps_per_step: int = 5
-    omega: float = 1.0  # SOR relaxation factor
-    tolerance: float = 1e-6
-    max_steps: int = 200
-    seed: int = 1994
-
-    @classmethod
-    def paper(cls) -> "LcpConfig":
-        return cls()
-
-    @classmethod
-    def small(cls, n: int = 64, seed: int = 1994, **kwargs) -> "LcpConfig":
-        return cls(n=n, seed=seed, **kwargs)
 
 
 @dataclass

@@ -5,25 +5,3 @@ machine), and 3 (shared-memory machine), and provides the structural
 models — set-associative cache, FIFO TLB, write buffer — that both
 machines are built from.
 """
-
-from repro.arch.address import AddressRange, block_span, page_span
-from repro.arch.cache import Cache, LineState
-from repro.arch.costs import CostModel
-from repro.arch.params import CommonParams, MachineParams, MpParams, SmParams
-from repro.arch.tlb import Tlb
-from repro.arch.write_buffer import WriteBuffer
-
-__all__ = [
-    "AddressRange",
-    "Cache",
-    "CommonParams",
-    "CostModel",
-    "LineState",
-    "MachineParams",
-    "MpParams",
-    "SmParams",
-    "Tlb",
-    "WriteBuffer",
-    "block_span",
-    "page_span",
-]

@@ -228,6 +228,13 @@ class MachineParams:
 #: Named machine tables selectable via the ``preset=`` config channel.
 MACHINE_PRESETS: Tuple[str, ...] = ("paper", "multicore", "cluster")
 
+#: The memory-consistency models the shared-memory machine implements
+#: (the ``consistency=`` config channel). ``sc`` is the paper's
+#: sequentially consistent baseline (no store buffer at all —
+#: bit-identical to the pre-relaxation code path); the store buffers
+#: behind ``tso`` and ``pc`` live in :mod:`repro.arch.write_buffer`.
+MEMORY_MODELS: Tuple[str, ...] = ("sc", "tso", "pc")
+
 
 def machine_preset(name: str, num_processors: int = 32) -> MachineParams:
     """Resolve a preset name to its :class:`MachineParams`."""

@@ -32,11 +32,6 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-#: The memory-consistency models the shared-memory machine implements.
-#: ``sc`` is the paper's sequentially consistent baseline (no buffer at
-#: all — bit-identical to the pre-relaxation code path).
-MEMORY_MODELS = ("sc", "tso", "pc")
-
 
 class WriteBuffer:
     """Accounting model of an infinite write buffer."""

@@ -73,8 +73,7 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from repro import check
-from repro.arch.params import MachineParams
-from repro.arch.write_buffer import MEMORY_MODELS
+from repro.arch.params import MEMORY_MODELS, MachineParams
 from repro.check.errors import CheckError
 from repro.sm.machine import SmMachine
 

@@ -556,7 +556,7 @@ def _reject_unknown_consistency(value: Optional[str], prog: str) -> bool:
     Returns True when the value is unknown (the caller then exits 2:
     a typo must be a usage error, never a silently skipped shape).
     """
-    from repro.arch.write_buffer import MEMORY_MODELS
+    from repro.arch.params import MEMORY_MODELS
 
     if value is None or value in MEMORY_MODELS:
         return False

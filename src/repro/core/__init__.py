@@ -11,27 +11,7 @@ and per-processor event counts — into a reusable harness:
 * :mod:`repro.core.tables` — paper-style rendering.
 
 Execution (parallel workers, the on-disk result cache, serializable
-run records) lives in :mod:`repro.runner`; :func:`run_experiment`
-remains here as the in-process compatibility entry point.
+run records) lives in :mod:`repro.runner`. Import from the submodules:
+this package re-exports nothing, so loading the registry does not load
+the simulator.
 """
-
-from repro.core.breakdown import MpBreakdown, MpCounts, SmBreakdown, SmCounts
-from repro.core.experiments import (
-    EXPERIMENTS,
-    ExperimentSpec,
-    get_experiment,
-    run_experiment,
-)
-from repro.core.study import PairResult
-
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentSpec",
-    "MpBreakdown",
-    "MpCounts",
-    "PairResult",
-    "SmBreakdown",
-    "SmCounts",
-    "get_experiment",
-    "run_experiment",
-]

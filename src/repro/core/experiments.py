@@ -14,6 +14,10 @@ The stable programmatic surface is :mod:`repro.api`
 over ``run_raw``. ``python -m repro run`` goes through the full
 harness.
 
+Loading the registry loads no simulator: each runner imports its app
+programs and machines when it first runs, so listing experiments,
+resolving configs and serving cached records never load numpy.
+
 Scale: the paper's runs are hundreds of millions to billions of target
 cycles on 32 processors; a pure-Python event simulation reproduces
 *fractions and ratios*, which are scale-stable, at workloads a few
@@ -28,23 +32,12 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Tuple
 
-from repro.apps.em3d.common import Em3dConfig
-from repro.apps.em3d.mp import run_em3d_mp
-from repro.apps.em3d.sm import run_em3d_sm
-from repro.apps.gauss.common import GaussConfig
-from repro.apps.gauss.mp import run_gauss_mp
-from repro.apps.gauss.sm import run_gauss_sm
-from repro.apps.lcp.common import LcpConfig
-from repro.apps.lcp.mp import run_lcp_mp
-from repro.apps.lcp.sm import run_lcp_sm
-from repro.apps.mse.common import MseConfig
-from repro.apps.mse.mp import run_mse_mp
-from repro.apps.mse.sm import run_mse_sm
+from repro.apps.em3d import Em3dConfig
+from repro.apps.gauss import GaussConfig
+from repro.apps.lcp import LcpConfig
+from repro.apps.mse import MseConfig
 from repro.core.study import PairResult
-from repro.memory.dataspace import HomePolicy
-from repro.mp.machine import MpMachine
 from repro.runner.config import ExperimentConfig
-from repro.sm.machine import SmMachine
 
 #: A shape check: (description, passed, detail-string).
 ShapeCheck = Tuple[str, bool, str]
@@ -185,7 +178,7 @@ EM3D_LOCALALLOC_CONFIG = ExperimentConfig(
     seed=_SEED,
     cache_bytes=EM3D_CACHE,
     app=_EM3D_APP,
-    options=(("policy", HomePolicy.LOCAL.value),),
+    options=(("policy", "local"),),  # HomePolicy.LOCAL
 )
 EM3D_PROTOCOLS_CONFIG = ExperimentConfig(
     exp_id="em3d_protocols",
@@ -219,6 +212,11 @@ VALIDATION_CONFIG = ExperimentConfig(exp_id="validation", procs=2, seed=_SEED)
 
 
 def run_mse_pair(config: ExperimentConfig) -> PairResult:
+    from repro.apps.mse.mp import run_mse_mp
+    from repro.apps.mse.sm import run_mse_sm
+    from repro.mp.machine import MpMachine
+    from repro.sm.machine import SmMachine
+
     params = config.machine_params()
     mp_result, _x = run_mse_mp(MpMachine(params, seed=config.seed, backend=config.backend), config.app)
     sm_result, _x2 = run_mse_sm(SmMachine(params, seed=config.seed, backend=config.backend, consistency=config.consistency), config.app)
@@ -229,6 +227,11 @@ def run_mse_pair(config: ExperimentConfig) -> PairResult:
 
 
 def run_gauss_pair(config: ExperimentConfig) -> PairResult:
+    from repro.apps.gauss.mp import run_gauss_mp
+    from repro.apps.gauss.sm import run_gauss_sm
+    from repro.mp.machine import MpMachine
+    from repro.sm.machine import SmMachine
+
     params = config.machine_params()
     mp_result, _x = run_gauss_mp(MpMachine(params, seed=config.seed, backend=config.backend), config.app)
     sm_result, _x2 = run_gauss_sm(SmMachine(params, seed=config.seed, backend=config.backend, consistency=config.consistency), config.app)
@@ -241,6 +244,9 @@ def run_gauss_pair(config: ExperimentConfig) -> PairResult:
 
 def run_gauss_collectives(config: ExperimentConfig) -> Dict[str, float]:
     """The text's strategy study: flat vs binary vs lop-sided trees."""
+    from repro.apps.gauss.mp import run_gauss_mp
+    from repro.mp.machine import MpMachine
+
     totals: Dict[str, float] = {}
     for strategy in config.opt("strategies", ("flat", "binary", "lopsided")):
         machine = MpMachine(
@@ -261,6 +267,8 @@ def run_gauss_contention(config: ExperimentConfig) -> Dict[int, Dict[str, float]
     problem size) and record the mean directory queue delay and the
     average cost of a shared miss.
     """
+    from repro.apps.gauss.sm import run_gauss_sm
+    from repro.sm.machine import SmMachine
     from repro.stats.categories import SmCat
 
     results: Dict[int, Dict[str, float]] = {}
@@ -282,6 +290,12 @@ def run_gauss_contention(config: ExperimentConfig) -> Dict[int, Dict[str, float]
 
 
 def run_em3d_pair(config: ExperimentConfig) -> PairResult:
+    from repro.apps.em3d.mp import run_em3d_mp
+    from repro.apps.em3d.sm import run_em3d_sm
+    from repro.memory.dataspace import HomePolicy
+    from repro.mp.machine import MpMachine
+    from repro.sm.machine import SmMachine
+
     params = config.machine_params()
     policy = HomePolicy(config.opt("policy", HomePolicy.ROUND_ROBIN.value))
     mp_result, _e, _h = run_em3d_mp(
@@ -303,6 +317,11 @@ def run_em3d_protocols(config: ExperimentConfig) -> Dict[str, Any]:
     flushes, and with the bulk-update protocol, against the EM3D-MP
     baseline.
     """
+    from repro.apps.em3d.mp import run_em3d_mp
+    from repro.apps.em3d.sm import run_em3d_sm
+    from repro.mp.machine import MpMachine
+    from repro.sm.machine import SmMachine
+
     params = config.machine_params()
     mp_result, _e, _h = run_em3d_mp(
         MpMachine(params, seed=config.seed, backend=config.backend), config.app
@@ -316,6 +335,11 @@ def run_em3d_protocols(config: ExperimentConfig) -> Dict[str, Any]:
 
 
 def run_lcp_pair(config: ExperimentConfig) -> PairResult:
+    from repro.apps.lcp.mp import run_lcp_mp
+    from repro.apps.lcp.sm import run_lcp_sm
+    from repro.mp.machine import MpMachine
+    from repro.sm.machine import SmMachine
+
     asynchronous = bool(config.opt("asynchronous", False))
     params = config.machine_params()
     mp_result, _z, mp_steps = run_lcp_mp(
@@ -341,6 +365,10 @@ def run_validation_micro(config: ExperimentConfig) -> Dict[str, Dict[str, float]
     latencies of the primitive operations compose to the Table 1-3
     costs they are built from.
     """
+    from repro.memory.dataspace import HomePolicy
+    from repro.mp.machine import MpMachine
+    from repro.sm.machine import SmMachine
+
     checks: Dict[str, Dict[str, float]] = {}
     params = config.machine_params()
 

@@ -8,11 +8,13 @@ Memory" / "Relative to Message Passing").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.core.breakdown import MpBreakdown, MpCounts, SmBreakdown, SmCounts
-from repro.mp.machine import MpRunResult
-from repro.sm.machine import SmRunResult
+
+if TYPE_CHECKING:  # annotations only: records load without the simulator
+    from repro.mp.machine import MpRunResult
+    from repro.sm.machine import SmRunResult
 
 
 @dataclass

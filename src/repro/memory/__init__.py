@@ -1,12 +1,8 @@
 """Simulated memory regions backed by real numpy arrays.
 
 Applications in this reproduction compute on real data. A
-:class:`Region` couples a numpy array with a simulated address range so
-that every access both (a) produces/consumes real values and (b) drives
-the cache, TLB, and coherence-protocol simulation at cache-block
-granularity.
+:class:`~repro.memory.dataspace.Region` couples a numpy array with a
+simulated address range so that every access both (a)
+produces/consumes real values and (b) drives the cache, TLB, and
+coherence-protocol simulation at cache-block granularity.
 """
-
-from repro.memory.dataspace import DataSpace, HomePolicy, Region, Segment
-
-__all__ = ["DataSpace", "HomePolicy", "Region", "Segment"]

@@ -6,9 +6,3 @@ active-message layer (:mod:`repro.mp.active_messages`), the CMMD-style
 channel library (:mod:`repro.mp.cmmd`), and software collective trees
 (:mod:`repro.mp.collectives`).
 """
-
-from repro.mp.machine import MpMachine, MpRunResult
-from repro.mp.api import MpContext
-from repro.mp.netiface import NetworkInterface, Packet
-
-__all__ = ["MpContext", "MpMachine", "MpRunResult", "NetworkInterface", "Packet"]

@@ -25,11 +25,11 @@ from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.arch.params import (
     MACHINE_PRESETS,
+    MEMORY_MODELS,
     CommonParams,
     MachineParams,
     machine_preset,
 )
-from repro.arch.write_buffer import MEMORY_MODELS
 
 #: CommonParams fields a config may override via the ``machine`` channel.
 #: ``num_processors`` and ``cache_bytes`` are excluded: they have

@@ -8,20 +8,20 @@ spec's ``after`` tuple, e.g. ``em3d_bigcache`` against ``em3d``) runs
 in the same worker as that baseline so the in-process memo serves the
 comparison — and fans the groups out over worker processes.
 
-Workers are started with the ``spawn`` method: each one imports the
-package fresh, so no parent in-process state can leak into a worker
-run. Determinism is preserved — every simulation is a pure function of
-its seeded :class:`~repro.runner.config.ExperimentConfig`, so a worker
-run produces bit-identical cycle counts to an in-process run (the
-test suite asserts this).
+Work that would use at most one worker runs in this process: a pool of
+one only adds an interpreter start-up. Otherwise workers are started
+with the ``spawn`` method: each one imports the package fresh, so no
+parent in-process state can leak into a worker run. Determinism is
+preserved — every simulation is a pure function of its seeded
+:class:`~repro.runner.config.ExperimentConfig`, so a worker run
+produces bit-identical cycle counts to an in-process run (the test
+suite asserts this).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.runner.record import RunRecord
@@ -110,18 +110,35 @@ def run_group(items: Sequence[WorkItem]) -> List[RunRecord]:
     return records
 
 
+def runs_in_process(groups: Sequence[Sequence[WorkItem]], jobs: int) -> bool:
+    """Whether :func:`run_parallel` would run ``groups`` in this process:
+    true whenever at most one worker would be used."""
+    return min(jobs, len(groups)) <= 1
+
+
+def spawn_pool(workers: int):
+    """A ``ProcessPoolExecutor`` of ``workers`` spawned processes."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("spawn")
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
+
+
 def run_parallel(
     groups: Sequence[Sequence[WorkItem]],
     jobs: int,
     progress=None,
 ) -> List[RunRecord]:
-    """Fan groups out over ``jobs`` spawned worker processes.
+    """Fan groups out over up to ``jobs`` spawned worker processes.
 
-    Results are reported to ``progress`` as each group completes;
-    the returned list is unordered (callers re-index by exp_id).
+    Runs in this process when at most one worker would be used
+    (:func:`runs_in_process`). Results are reported to ``progress`` as
+    each group completes; the returned list is unordered (callers
+    re-index by exp_id).
     """
     records: List[RunRecord] = []
-    if jobs <= 1:
+    if runs_in_process(groups, jobs):
         for group in groups:
             batch = run_group(group)
             records.extend(batch)
@@ -130,9 +147,9 @@ def run_parallel(
                     progress(record)
         return records
 
-    context = multiprocessing.get_context("spawn")
-    workers = min(jobs, len(groups))
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+    from concurrent.futures import FIRST_COMPLETED, wait
+
+    with spawn_pool(min(jobs, len(groups))) as pool:
         pending = {pool.submit(run_group, list(group)) for group in groups}
         while pending:
             done, pending = wait(pending, return_when=FIRST_COMPLETED)

@@ -4,9 +4,9 @@ Submissions become :class:`Job` objects with content-hash IDs (a run's
 ID is its config's cache key; a sweep's ID is its grid key) and flow
 through a bounded pool of worker threads. Each worker drives one job
 at a time through an *executor* — by default the run executor ships
-the simulation to a spawned worker process via the existing
-:func:`repro.runner.executor.run_parallel` machinery, so the GIL-heavy
-simulation never stalls the HTTP threads — and writes the finished
+the simulation to a spawned worker process running
+:func:`repro.runner.executor.run_group`, so the GIL-heavy simulation
+never stalls the HTTP threads — and writes the finished
 record back to the shared content-addressed cache, then enforces the
 cache byte budget (:mod:`repro.serve.eviction`).
 
@@ -177,15 +177,17 @@ class Job:
 def subprocess_run_executor(request: RunRequest) -> RunRecord:
     """Simulate one experiment in a spawned worker process.
 
-    ``jobs=2`` forces :func:`run_parallel` onto its process-pool path
-    (one group → one spawned worker); the queue's worker thread only
-    blocks on the future, keeping the HTTP threads responsive while
-    the simulation burns CPU in another process.
+    The queue's worker thread only blocks on the future, keeping the
+    HTTP threads responsive while the simulation burns CPU in another
+    process. The pool is built here because
+    :func:`~repro.runner.executor.run_parallel` keeps a single group
+    in this process.
     """
-    from repro.runner.executor import plan_groups, run_parallel
+    from repro.runner.executor import run_group, spawn_pool
 
-    item = (request.exp_id, request.overrides or None)
-    return run_parallel(plan_groups([item]), jobs=2)[0]
+    with spawn_pool(1) as pool:
+        item = (request.exp_id, request.overrides or None)
+        return pool.submit(run_group, [item]).result()[0]
 
 
 def inprocess_run_executor(request: RunRequest) -> RunRecord:

@@ -3,25 +3,8 @@
 This package is the reproduction's substitute for the Wisconsin Wind
 Tunnel: a deterministic, process-oriented discrete-event simulator.
 Simulated processors are Python generators that yield primitive commands
-(:class:`Delay`, :class:`Wait`) to the kernel; everything above that —
-memory accesses, network-interface operations, barriers, locks — is built
-as generator subroutines in the machine packages.
+(``Delay``, ``Wait``; see :mod:`repro.sim.process`) to the kernel;
+everything above that — memory accesses, network-interface operations,
+barriers, locks — is built as generator subroutines in the machine
+packages.
 """
-
-from repro.sim.engine import Engine
-from repro.sim.events import Gate, SimEvent
-from repro.sim.process import Delay, Process, ProcessCrash, Wait
-from repro.sim.resource import FifoResource
-from repro.sim.rng import RngStreams
-
-__all__ = [
-    "Delay",
-    "Engine",
-    "FifoResource",
-    "Gate",
-    "Process",
-    "ProcessCrash",
-    "RngStreams",
-    "SimEvent",
-    "Wait",
-]

@@ -9,9 +9,3 @@ from the hardware barrier, an atomic swap/compare-and-swap, MCS queue
 locks, and MCS-style combining reductions — all implemented *on top of*
 the simulated shared memory so their protocol traffic is paid for.
 """
-
-from repro.sm.machine import SmMachine, SmRunResult
-from repro.sm.api import SmContext
-from repro.sm.mcs import McsLock, McsReduction
-
-__all__ = ["McsLock", "McsReduction", "SmContext", "SmMachine", "SmRunResult"]

@@ -15,8 +15,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 from repro.arch.barrier import HardwareBarrier
 from repro.arch.cache import Cache
 from repro.arch.costs import CostModel
-from repro.arch.params import MachineParams
-from repro.arch.write_buffer import MEMORY_MODELS
+from repro.arch.params import MEMORY_MODELS, MachineParams
 from repro.arch.tlb import Tlb
 from repro.memory.dataspace import DataSpace, HomePolicy, Region
 from repro.sim.engine import Engine

@@ -1,21 +1,9 @@
 """Cycle-category accounting and paper-style reporting.
 
-Every simulated processor carries a :class:`ProcStats`: cycle counts per
+Every simulated processor carries a
+:class:`~repro.stats.collector.ProcStats`: cycle counts per
 category (the rows of the paper's time-breakdown tables), event counters
 (the rows of its event-count tables), and phase totals (the
 initialization / main-loop split of the EM3D tables and the
 broadcast/reduction grouping of the Gauss table).
 """
-
-from repro.stats.categories import MpCat, SmCat
-from repro.stats.collector import ProcStats, StatsBoard
-from repro.stats.report import format_breakdown, format_counts
-
-__all__ = [
-    "MpCat",
-    "SmCat",
-    "ProcStats",
-    "StatsBoard",
-    "format_breakdown",
-    "format_counts",
-]

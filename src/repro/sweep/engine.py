@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.runner.cache import ResultCache, cache_key
-from repro.runner.executor import default_jobs, plan_batches, run_parallel
+from repro.runner.executor import default_jobs, plan_batches, run_parallel, runs_in_process
 from repro.runner.record import RunRecord
 from repro.stats.metrics import derive_metrics
 from repro.sweep.analysis import crossover_report
@@ -183,10 +183,9 @@ def run_sweep(
             if point is not None:
                 note(point, record, True)
 
-        run_parallel(
-            plan_batches(to_run, jobs=jobs), jobs=jobs, progress=collect
-        )
-        if jobs <= 1:
+        batches = plan_batches(to_run, jobs=jobs)
+        run_parallel(batches, jobs=jobs, progress=collect)
+        if runs_in_process(batches, jobs):
             # In-process batches memoize raw results (live machine
             # objects); a sweep has no baseline comparisons to serve,
             # so drop them rather than hold every point's machines.

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.arch.write_buffer import MEMORY_MODELS, StoreBuffer, WriteBuffer
+from repro.arch.params import MEMORY_MODELS
+from repro.arch.write_buffer import StoreBuffer, WriteBuffer
 
 
 def test_constant_drain_cost():

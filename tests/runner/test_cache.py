@@ -3,7 +3,7 @@
 import json
 
 from repro.core.experiments import EXPERIMENTS
-from repro.runner.cache import ResultCache, cache_key
+from repro.runner.cache import CODE_SALT, ResultCache, cache_key
 from repro.runner.record import RECORD_SCHEMA, RunRecord
 
 
@@ -32,6 +32,32 @@ def test_cache_key_is_stable_and_content_addressed():
     )
     # Different experiments never collide.
     assert cache_key(config) != cache_key(EXPERIMENTS["mse"].config)
+
+
+#: Every registered experiment's cache key. A change here re-keys every
+#: user's cache, so change these pins only together with a CODE_SALT bump.
+REGISTERED_KEYS = {
+    "mse": "c673ddfd0ebdeee3a0b7fc1faf76c943fabc344bfe1cc5aff1d37bda9cd5a7a2",
+    "gauss": "094e55a59c98099fa63c5342b993023f940cbeae05d6b80a8dbdd655adc65fae",
+    "gauss_collectives": "66aab78461791378b9893e048977ecc94127876833410b45922ec3ef18199fe1",
+    "gauss_contention": "1c26793cd39f8bfcd12922b9361f92c5ab05afe06e79892158c2d80f7e84995f",
+    "em3d": "75c17e58fc7c5b042e0ca4489461ea53a82e82818f8bd53b6dbb3a897e9cfe99",
+    "em3d_bigcache": "bcc77cd6662c5cbb12c20d55f47b3b1e916efda578f1b396ffe85e100b7102d3",
+    "em3d_localalloc": "d7605702e2809b8cf9cb236bd9deab41e05362f62cc303cbb207c5677af17785",
+    "em3d_protocols": "bc84d2636b6bd32e4843d18c5d363d3b8a577ea33c9de0c38e12c03158341960",
+    "lcp": "d796373f3ea5aa1f18eb02724d7ba43202cd454e37dde071a9be01f95fd30f63",
+    "alcp": "26dbb235cd0ace2837fb6342e27fe0bdd9df9a6fe8a9a7b861ec55ffd4a60677",
+    "validation": "d633e7d5abc409d08b1b4ce5b9edb31aa785d19be99baa4fba57ea558a315d54",
+}
+
+
+def test_registered_cache_keys_are_pinned():
+    """Moving code (the app config classes, the registry's imports) must
+    not re-key users' caches: keys hash the config's content and class
+    name, never its module."""
+    assert CODE_SALT == "repro-runner-v4"
+    keys = {exp_id: cache_key(spec.config) for exp_id, spec in EXPERIMENTS.items()}
+    assert keys == REGISTERED_KEYS
 
 
 def test_store_load_roundtrip(tmp_path):

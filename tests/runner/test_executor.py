@@ -4,15 +4,17 @@ The simulation-running tests use sweep overrides to shrink workloads
 (the harness's own parameterization feature), so they run in seconds.
 """
 
+import os
 import warnings
 
 import pytest
 
+from repro.cli import main
 from repro.core import experiments
 from repro.runner import api
 from repro.runner.cache import ResultCache
 from repro.runner.config import ExperimentConfig
-from repro.runner.executor import group_root, plan_groups
+from repro.runner.executor import default_jobs, group_root, plan_groups, runs_in_process
 
 #: A small Gauss pair: the cheapest real two-machine experiment.
 SMALL_GAUSS = {"procs": 4, "app": {"n": 40}}
@@ -151,6 +153,33 @@ def test_record_for_serves_fidelity_from_cache(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# In-process vs spawned workers.
+# ---------------------------------------------------------------------------
+
+
+def test_runs_in_process_when_at_most_one_worker_would_be_used():
+    one, two = [[("a", None)]], [[("a", None)], [("b", None)]]
+    assert runs_in_process(one, jobs=4)
+    assert runs_in_process(two, jobs=1)
+    assert not runs_in_process(two, jobs=2)
+
+
+def test_single_experiment_run_stays_in_process_on_a_multi_cpu_host(monkeypatch):
+    """``repro run`` defaults ``--jobs`` to the CPU count, yet one
+    experiment runs here: it sees this test's injected registry entry
+    (a spawned worker imports a fresh registry without it) and pays no
+    interpreter start-up."""
+    counter = []
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setitem(
+        experiments.EXPERIMENTS, "fake_counting", _counting_spec(counter)
+    )
+    assert default_jobs() == 4
+    assert main(["run", "fake_counting", "--no-cache"]) == 0
+    assert len(counter) == 1
+
+
+# ---------------------------------------------------------------------------
 # Worker-process determinism and --jobs equivalence.
 # ---------------------------------------------------------------------------
 
@@ -165,15 +194,16 @@ def _strip_timing(record):
 def test_worker_vs_inprocess_determinism(tmp_path):
     """A spawned worker must produce bit-identical cycle counts."""
     api.clear_memory_cache()
+    # Two independent groups, so jobs=2 really spawns two workers (one
+    # group alone would run in this process).
+    ids = ["gauss", "validation"]
     overrides = {"gauss": SMALL_GAUSS}
     inproc = api.execute(
-        ["gauss"], jobs=1, cache=ResultCache(tmp_path / "a"),
-        overrides=overrides,
+        ids, jobs=1, cache=ResultCache(tmp_path / "a"), overrides=overrides,
     )["gauss"]
     api.clear_memory_cache()
     worker = api.execute(
-        ["gauss"], jobs=2, cache=ResultCache(tmp_path / "b"),
-        overrides=overrides,
+        ids, jobs=2, cache=ResultCache(tmp_path / "b"), overrides=overrides,
     )["gauss"]
     assert worker.cached is False
     assert _strip_timing(worker) == _strip_timing(inproc)

@@ -1,10 +1,12 @@
 """Job queue behavior: coalescing, warm path, failure, force."""
 
+import dataclasses
 import threading
 import time
 
 import pytest
 
+from repro.core import experiments
 from repro.runner.api import resolve_config
 from repro.runner.cache import ResultCache, cache_key
 from repro.runner.record import RunRecord
@@ -58,6 +60,31 @@ def make_queue(cache, executor, workers=2, **kwargs):
     )
     queue.start()
     return queue
+
+
+class TestDefaultRunExecutor:
+    def test_cold_job_simulates_in_a_spawned_worker(self, cache, monkeypatch):
+        """The HTTP threads share the queue's process, so a cold job
+        must not simulate there. This process's validation runner fails
+        if called; a spawned worker imports the real registry."""
+        spec = experiments.EXPERIMENTS["validation"]
+
+        def here(config):
+            raise AssertionError("simulated in the serving process")
+
+        monkeypatch.setitem(
+            experiments.EXPERIMENTS, "validation",
+            dataclasses.replace(spec, runner=here),
+        )
+        queue = JobQueue(workers=1, cache=cache)
+        queue.start()
+        try:
+            job = queue.submit_run(RunRequest(exp_id="validation"))
+            assert job.wait(120)
+            assert job.state == DONE, job.error
+            assert job.simulated is True
+        finally:
+            queue.stop()
 
 
 class TestCoalescing:
