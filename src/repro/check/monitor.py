@@ -577,7 +577,7 @@ class Checker:
             if entry.busy or entry.pending:
                 raise CheckError(
                     "dir-agreement",
-                    f"entry still busy at quiescence ({len(entry.pending)} "
+                    f"entry still busy at quiescence ({len(entry.pending or ())} "
                     f"parked requests)",
                     node=home,
                     block=block,

@@ -28,8 +28,9 @@ scaled with the working sets so that capacity effects (EM3D Tables
 
 from __future__ import annotations
 
+import gc
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro.apps.em3d import Em3dConfig
@@ -56,9 +57,10 @@ class ExperimentSpec:
     shape: Callable[[Any], List[ShapeCheck]]
     paper: Dict[str, Any] = field(default_factory=dict)
     notes: str = ""
-    #: Baselines this experiment's shape checks compare against; the
-    #: executor co-locates them in one worker so the in-process memo
-    #: serves the comparison.
+    #: Baselines this experiment's shape checks compare against
+    #: (through :func:`repro.runner.api.baseline`, on this run's
+    #: backend, memory model and preset); the executor co-locates them
+    #: in one worker so the in-process memo serves the comparison.
     after: Tuple[str, ...] = ()
     #: Check names that pin claims specific to the paper's 1994 machine
     #: (latency/overhead ratios that legitimately flip under the modern
@@ -315,7 +317,9 @@ def run_em3d_protocols(config: ExperimentConfig) -> Dict[str, Any]:
 
     Runs EM3D-SM under the base invalidation protocol, with consumer
     flushes, and with the bulk-update protocol, against the EM3D-MP
-    baseline.
+    baseline. Each run keeps only its board and elapsed cycles, and its
+    machine is reclaimed before the next is built: one machine is alive
+    at a time rather than all four.
     """
     from repro.apps.em3d.mp import run_em3d_mp
     from repro.apps.em3d.sm import run_em3d_sm
@@ -323,15 +327,24 @@ def run_em3d_protocols(config: ExperimentConfig) -> Dict[str, Any]:
     from repro.sm.machine import SmMachine
 
     params = config.machine_params()
-    mp_result, _e, _h = run_em3d_mp(
+    results: Dict[str, Any] = {"mp": _machine_free(run_em3d_mp(
         MpMachine(params, seed=config.seed, backend=config.backend), config.app
-    )
-    results: Dict[str, Any] = {"mp": mp_result}
+    ))}
     for variant in config.opt("variants", ("base", "flush", "update")):
-        machine = SmMachine(params, seed=config.seed, backend=config.backend, consistency=config.consistency)
-        sm_result, _e2, _h2 = run_em3d_sm(machine, config.app, variant=variant)
-        results[variant] = sm_result
+        # The last run's machine is a reference cycle, which only the
+        # cycle collector frees.
+        gc.collect()
+        results[variant] = _machine_free(run_em3d_sm(
+            SmMachine(params, seed=config.seed, backend=config.backend, consistency=config.consistency),
+            config.app, variant=variant,
+        ))
     return results
+
+
+def _machine_free(run: Tuple[Any, ...]) -> Any:
+    """An app run's result without its machine or program outputs (views
+    of the machine's memory); the board still feeds the checks."""
+    return replace(run[0], machine=None, outputs=[])
 
 
 def run_lcp_pair(config: ExperimentConfig) -> PairResult:
@@ -558,9 +571,9 @@ def _em3d_shape(pair: PairResult) -> List[ShapeCheck]:
 
 
 def _em3d_bigcache_shape(pair: PairResult) -> List[ShapeCheck]:
-    from repro.runner.api import run_raw
+    from repro.runner.api import baseline
 
-    base = run_raw("em3d")
+    base = baseline("em3d")
     base_sm = base.sm_breakdown(phase="main")
     big_sm = pair.sm_breakdown(phase="main")
     base_misses = base.sm_counts(phase="main").shared_misses
@@ -575,9 +588,9 @@ def _em3d_bigcache_shape(pair: PairResult) -> List[ShapeCheck]:
 
 
 def _em3d_localalloc_shape(pair: PairResult) -> List[ShapeCheck]:
-    from repro.runner.api import run_raw
+    from repro.runner.api import baseline
 
-    base = run_raw("em3d")
+    base = baseline("em3d")
     base_remote = base.sm_counts(phase="main").remote_fraction
     local_remote = pair.sm_counts(phase="main").remote_fraction
     base_total = base.sm_breakdown(phase="main").total
@@ -633,9 +646,9 @@ def _lcp_shape(pair: PairResult) -> List[ShapeCheck]:
 
 
 def _alcp_shape(pair: PairResult) -> List[ShapeCheck]:
-    from repro.runner.api import run_raw
+    from repro.runner.api import baseline
 
-    sync = run_raw("lcp")
+    sync = baseline("lcp")
     sync_steps = sync.extra["sm_steps"]
     async_steps = pair.extra["sm_steps"]
     sync_intensity = sync.mp_counts().comp_cycles_per_data_byte
@@ -778,10 +791,11 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
             shape=_em3d_localalloc_shape,
             paper={"sm_main_Mcycles": 86.3, "remote_fraction": 0.10},
             after=("em3d",),
-            # Local allocation's speedup trades remote misses for DRAM
-            # accesses; the modern presets' memory wall (dram_cycles
-            # 150 vs 10) erases the win even as the remote fraction
-            # still collapses.
+            # Under the modern presets' memory wall (dram_cycles 150 vs
+            # 10) local allocation makes the main loop slower than em3d
+            # on the same preset (cluster: 2.99M vs 1.74M cycles; 0.73M
+            # vs 0.74M with dram_cycles 10), even as the remote
+            # fraction still collapses.
             paper_only=("main loop faster",),
         ),
         ExperimentSpec(

@@ -41,8 +41,10 @@ from repro.runner.config import ExperimentConfig
 from repro.runner.record import RECORD_SCHEMA, RunRecord
 
 #: Bump manually when simulator semantics change (cycle counts move).
-CODE_SALT = "repro-runner-v4"  # v4: consistency joined the key; machine
-# params grew the two-level-topology fields (cluster_size et al.)
+CODE_SALT = "repro-runner-v5"  # v5: em3d_bigcache/em3d_localalloc/alcp
+# compare against a baseline on their own backend, memory model and
+# preset (v4: consistency joined the key; machine params grew the
+# two-level-topology fields, cluster_size et al.)
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro_cache"

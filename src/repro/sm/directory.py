@@ -89,6 +89,8 @@ class Directory:
         entry = self.entries[msg.block]
         if msg.type in (MsgType.GETS, MsgType.GETX, MsgType.UPGRADE):
             if entry.busy:
+                if entry.pending is None:
+                    entry.pending = deque()
                 entry.pending.append(msg)
                 yield delay_of(1)  # queue-and-defer bookkeeping
                 return
@@ -256,8 +258,11 @@ class Directory:
         entry.txn_info = None
         entry.acks_needed = 0
         self._complete(request, info)
-        while entry.pending:
-            self.post(entry.pending.popleft())
+        pending = entry.pending
+        if pending:
+            entry.pending = None
+            for parked in pending:
+                self.post(parked)
 
     def _complete(self, msg: Msg, info: TransactionInfo) -> None:
         """Deliver the reply (data or grant) to the requester."""

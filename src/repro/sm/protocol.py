@@ -9,8 +9,7 @@ dirty copy) and sends the fewest possible invalidations.
 from __future__ import annotations
 
 import enum
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Optional, Set
 
 from repro.sim.events import SimEvent
@@ -75,19 +74,30 @@ class TransactionInfo:
     fetched: bool = False
 
 
-@dataclass
 class DirEntry:
-    """Directory record for one block at its home node."""
+    """Directory record for one block at its home node.
 
-    state: DirState = DirState.UNOWNED
-    sharers: Set[int] = field(default_factory=set)
-    owner: Optional[int] = None
-    busy: bool = False  # a multi-message transaction is in progress
-    pending: Deque[Msg] = field(default_factory=deque)
-    # State of the in-progress transaction (valid while busy).
-    acks_needed: int = 0
-    waiting: Optional[Msg] = None  # the request being served
-    txn_info: Optional[TransactionInfo] = None
+    A directory holds one entry for every block it has ever served, so
+    the entry is a slotted class, and its ``pending`` queue (requests
+    parked while a transaction is in progress) stays ``None`` until a
+    request first parks.
+    """
+
+    __slots__ = (
+        "state", "sharers", "owner", "busy", "pending",
+        "acks_needed", "waiting", "txn_info",
+    )
+
+    def __init__(self) -> None:
+        self.state = DirState.UNOWNED
+        self.sharers: Set[int] = set()
+        self.owner: Optional[int] = None
+        self.busy = False  # a multi-message transaction is in progress
+        self.pending: Optional[Deque[Msg]] = None
+        # State of the in-progress transaction (valid while busy).
+        self.acks_needed = 0
+        self.waiting: Optional[Msg] = None  # the request being served
+        self.txn_info: Optional[TransactionInfo] = None
 
     def describe(self) -> str:
         if self.state is DirState.EXCLUSIVE:

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.runner.cache import ResultCache, cache_key
-from repro.runner.executor import default_jobs, plan_batches, run_parallel, runs_in_process
+from repro.runner.executor import default_jobs, plan_batches, run_parallel
 from repro.runner.record import RunRecord
 from repro.stats.metrics import derive_metrics
 from repro.sweep.analysis import crossover_report
@@ -183,15 +183,7 @@ def run_sweep(
             if point is not None:
                 note(point, record, True)
 
-        batches = plan_batches(to_run, jobs=jobs)
-        run_parallel(batches, jobs=jobs, progress=collect)
-        if runs_in_process(batches, jobs):
-            # In-process batches memoize raw results (live machine
-            # objects); a sweep has no baseline comparisons to serve,
-            # so drop them rather than hold every point's machines.
-            from repro.runner.api import clear_memory_cache
-
-            clear_memory_cache()
+        run_parallel(plan_batches(to_run, jobs=jobs), jobs=jobs, progress=collect)
 
     simulated = len(to_run)
 

@@ -123,6 +123,26 @@ def test_untracked_cache_line_trips_dir_agreement():
         assert exc.value.block == block
 
 
+def test_busy_entry_with_nothing_parked_trips_dir_agreement():
+    """A transaction left open at quiescence is a typed dir-agreement
+    failure even when no request ever parked behind it (the entry's
+    parked-request queue is then ``None``)."""
+    with check.checking() as checker:
+        machine, region = _make_machine()
+        out = {}
+        machine.run(_program, region, out)
+        block_bytes = machine.params.common.block_bytes
+        block = region.addr_of(0) - region.addr_of(0) % block_bytes
+        entry = machine.directories[machine.home_of(block)].entries[block]
+        assert entry.pending is None
+        entry.busy = True
+        with pytest.raises(CheckError) as exc:
+            checker.verify_quiescent()
+        assert exc.value.invariant == "dir-agreement"
+        assert exc.value.block == block
+        assert "0 parked requests" in exc.value.detail
+
+
 def test_memory_corruption_trips_oracle():
     with check.checking() as checker:
         machine, region = _make_machine()

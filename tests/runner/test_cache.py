@@ -37,17 +37,17 @@ def test_cache_key_is_stable_and_content_addressed():
 #: Every registered experiment's cache key. A change here re-keys every
 #: user's cache, so change these pins only together with a CODE_SALT bump.
 REGISTERED_KEYS = {
-    "mse": "c673ddfd0ebdeee3a0b7fc1faf76c943fabc344bfe1cc5aff1d37bda9cd5a7a2",
-    "gauss": "094e55a59c98099fa63c5342b993023f940cbeae05d6b80a8dbdd655adc65fae",
-    "gauss_collectives": "66aab78461791378b9893e048977ecc94127876833410b45922ec3ef18199fe1",
-    "gauss_contention": "1c26793cd39f8bfcd12922b9361f92c5ab05afe06e79892158c2d80f7e84995f",
-    "em3d": "75c17e58fc7c5b042e0ca4489461ea53a82e82818f8bd53b6dbb3a897e9cfe99",
-    "em3d_bigcache": "bcc77cd6662c5cbb12c20d55f47b3b1e916efda578f1b396ffe85e100b7102d3",
-    "em3d_localalloc": "d7605702e2809b8cf9cb236bd9deab41e05362f62cc303cbb207c5677af17785",
-    "em3d_protocols": "bc84d2636b6bd32e4843d18c5d363d3b8a577ea33c9de0c38e12c03158341960",
-    "lcp": "d796373f3ea5aa1f18eb02724d7ba43202cd454e37dde071a9be01f95fd30f63",
-    "alcp": "26dbb235cd0ace2837fb6342e27fe0bdd9df9a6fe8a9a7b861ec55ffd4a60677",
-    "validation": "d633e7d5abc409d08b1b4ce5b9edb31aa785d19be99baa4fba57ea558a315d54",
+    "mse": "5483d769c198b3930ef89207177478845322bf4b28b66052f49be0113f8fb83f",
+    "gauss": "5369f69135ee5bae0cc6dd164713a6c6a7e38c61be1535b7d6f7a53762ff371e",
+    "gauss_collectives": "aff3600a2b0f1633c829893ee2a350b6b12ccdd00d15f7150c04cfee7d299c0b",
+    "gauss_contention": "618659db5f9df15dfba62573f8dc2169d487a7d7e762fd5dd3d6256663633a94",
+    "em3d": "d64a469b8a578fec5721f6fd3f1ba91950cc0cbdadc4c2fbaf51de4d434a134d",
+    "em3d_bigcache": "2eb2bb7e19beb89cdc3fd7d9b482841a8d4e5becda00635336622caa7c3ee0e7",
+    "em3d_localalloc": "e97021a6e86118db5f235e47ae0551d626255f1a0ba0a0a4ffaf45e3d50e8805",
+    "em3d_protocols": "ea918ebef589736386375a79cc6a9171c3a103b26f8962a1c0912bc086d4f1ca",
+    "lcp": "2b51915ca06e60dbe77251ff9ca680b3ac71ded068e502a2a27c04352c762694",
+    "alcp": "55a2b84b42290d4cc42e74585e1b29f86046063c1b9387c1c1e16cd364ccf2b5",
+    "validation": "8aaa6e46eaf6012eb6832181918e400f8b556e43ef09719765caab968c908f69",
 }
 
 
@@ -55,7 +55,7 @@ def test_registered_cache_keys_are_pinned():
     """Moving code (the app config classes, the registry's imports) must
     not re-key users' caches: keys hash the config's content and class
     name, never its module."""
-    assert CODE_SALT == "repro-runner-v4"
+    assert CODE_SALT == "repro-runner-v5"
     keys = {exp_id: cache_key(spec.config) for exp_id, spec in EXPERIMENTS.items()}
     assert keys == REGISTERED_KEYS
 

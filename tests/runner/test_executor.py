@@ -4,8 +4,12 @@ The simulation-running tests use sweep overrides to shrink workloads
 (the harness's own parameterization feature), so they run in seconds.
 """
 
+import dataclasses
+import gc
 import os
+import threading
 import warnings
+import weakref
 
 import pytest
 
@@ -14,7 +18,15 @@ from repro.core import experiments
 from repro.runner import api
 from repro.runner.cache import ResultCache
 from repro.runner.config import ExperimentConfig
-from repro.runner.executor import default_jobs, group_root, plan_groups, runs_in_process
+from repro.runner.executor import (
+    default_jobs,
+    group_root,
+    plan_groups,
+    run_group,
+    run_parallel,
+    runs_in_process,
+)
+from repro.runner.record import build_record
 
 #: A small Gauss pair: the cheapest real two-machine experiment.
 SMALL_GAUSS = {"procs": 4, "app": {"n": 40}}
@@ -271,3 +283,272 @@ def test_dependent_shape_checks_work_in_one_group(tmp_path, monkeypatch):
     # The baseline ran once; the dep's shape check reused the memo.
     assert calls == ["base", "dep"]
     api.clear_memory_cache()
+
+
+# ---------------------------------------------------------------------------
+# What a run keeps in memory.
+# ---------------------------------------------------------------------------
+
+
+class _Machine:
+    """Stands in for a simulated machine: a reference cycle, as real
+    machines are (engine <-> processes <-> contexts)."""
+
+    def __init__(self):
+        self.cycle = self
+
+
+class _Run:
+    """A machine run result: a board for the checks, and the machine."""
+
+    def __init__(self, machine):
+        self.board = {}
+        self.machine = machine
+
+
+def _machine_spec(exp_id, machines, after=(), shape=None):
+    """A cheap experiment whose runner builds one ``_Machine`` per run and
+    keeps a weakref to it in ``machines[exp_id]``."""
+
+    def runner(config):
+        machine = _Machine()
+        machines.setdefault(exp_id, []).append((config.preset, weakref.ref(machine)))
+        return {"value": 1.0, "run": _Run(machine)}
+
+    return experiments.ExperimentSpec(
+        id=exp_id, title=exp_id, paper_tables="none", description="test-only",
+        runner=runner, config=ExperimentConfig(exp_id=exp_id),
+        shape=shape or (lambda result: [("ran", True, "ok")]),
+        paper={"n/a": 0}, after=after,
+    )
+
+
+def _alive(machines, exp_id):
+    return [ref() is not None for _preset, ref in machines.get(exp_id, [])]
+
+
+@pytest.fixture
+def machines(monkeypatch):
+    """Registers ``fake_a`` and ``fake_b`` (independent) and ``fake_base``
+    with its dependent ``fake_dep``; returns the runners' weakrefs."""
+    machines = {}
+
+    def dep_shape(result):
+        base = api.baseline("fake_base")
+        # The baseline is still alive while its dependent is checked.
+        return [("baseline alive", base["run"].machine is not None, "ok")]
+
+    specs = [
+        _machine_spec("fake_a", machines),
+        _machine_spec("fake_b", machines),
+        _machine_spec("fake_base", machines),
+        _machine_spec("fake_dep", machines, after=("fake_base",), shape=dep_shape),
+    ]
+    for spec in specs:
+        monkeypatch.setitem(experiments.EXPERIMENTS, spec.id, spec)
+    return machines
+
+
+def test_run_group_releases_each_machine(machines):
+    records = run_group([("fake_a", None), ("fake_b", None)])
+    assert [r.exp_id for r in records] == ["fake_a", "fake_b"]
+    assert _alive(machines, "fake_a") == [False]
+    assert _alive(machines, "fake_b") == [False]
+    assert api.memo_keys() == set()
+
+
+def test_run_group_keeps_machines_it_did_not_memoize(machines):
+    mine = api.run_raw("fake_a")
+    run_group([("fake_a", None), ("fake_b", None)])
+    # A direct caller's memo entry survives, and served the group.
+    assert api.run_raw("fake_a") is mine
+    assert _alive(machines, "fake_a") == [True]
+    assert _alive(machines, "fake_b") == [False]
+
+
+def test_in_process_run_parallel_releases_each_machine(machines):
+    seen = []
+
+    def progress(record):
+        # By the time a group's records are reported, its machines are gone.
+        seen.append((record.exp_id, _alive(machines, record.exp_id)))
+
+    groups = [[("fake_a", None)], [("fake_b", None)]]
+    assert runs_in_process(groups, jobs=1)
+    run_parallel(groups, jobs=1, progress=progress)
+    assert seen == [("fake_a", [False]), ("fake_b", [False])]
+    assert api.memo_keys() == set()
+
+
+def test_record_for_releases_the_machine(machines, tmp_path):
+    record = api.record_for("fake_a", cache=ResultCache(tmp_path))
+    assert record.all_ok
+    assert _alive(machines, "fake_a") == [False]
+    assert api.memo_keys() == set()
+
+
+def test_baseline_lives_until_its_last_dependent_is_checked(machines, monkeypatch):
+    alive_at_dep = []
+    dep_runner = experiments.EXPERIMENTS["fake_dep"].runner
+
+    def runner(config):
+        alive_at_dep.append(_alive(machines, "fake_base"))
+        return dep_runner(config)
+
+    monkeypatch.setitem(
+        experiments.EXPERIMENTS, "fake_dep",
+        dataclasses.replace(experiments.EXPERIMENTS["fake_dep"], runner=runner),
+    )
+    records = run_group([("fake_base", None), ("fake_dep", None)])
+    assert all(r.all_ok for r in records)
+    assert alive_at_dep == [[True]]
+    # Simulated once, served to the dependent from the memo, then released.
+    assert _alive(machines, "fake_base") == [False]
+    assert _alive(machines, "fake_dep") == [False]
+    assert api.memo_keys() == set()
+
+
+def _with_runner(exp_id, wrap, monkeypatch):
+    """Re-register ``exp_id`` with its runner wrapped by ``wrap``."""
+    spec = experiments.EXPERIMENTS[exp_id]
+    monkeypatch.setitem(
+        experiments.EXPERIMENTS, exp_id, dataclasses.replace(spec, runner=wrap(spec.runner))
+    )
+
+
+def test_a_dependency_group_reclaims_each_dependent_before_the_next(machines, monkeypatch):
+    monkeypatch.setitem(
+        experiments.EXPERIMENTS, "fake_dep2",
+        dataclasses.replace(experiments.EXPERIMENTS["fake_dep"], id="fake_dep2"),
+    )
+    seen = {}
+
+    def wrap(runner):
+        def observed(config):
+            seen["base"] = _alive(machines, "fake_base")
+            seen["dep"] = _alive(machines, "fake_dep")
+            return runner(config)
+        return observed
+
+    _with_runner("fake_dep2", wrap, monkeypatch)
+    records = run_group([("fake_base", None), ("fake_dep", None), ("fake_dep2", None)])
+    assert all(r.all_ok for r in records)
+    assert seen == {"base": [True], "dep": [False]}
+    assert api.memo_keys() == set()
+
+
+def test_independent_items_are_reclaimed_once_per_group(machines, monkeypatch):
+    collections = []
+    monkeypatch.setattr(gc, "collect", lambda *args: collections.append(args))
+    run_group([("fake_a", None), ("fake_b", None), ("fake_base", None)])
+    assert len(collections) == 1
+    collections.clear()
+    # One collection after the dependent, none after the kept baseline.
+    run_group([("fake_base", None), ("fake_dep", None)])
+    assert len(collections) == 1
+
+
+def test_a_group_on_another_thread_keeps_its_baseline(machines, monkeypatch):
+    """Two groups at once on two threads, as the ``repro serve`` queue
+    runs them: a group that finishes releases only what it memoized
+    itself, not a baseline the other group is still using."""
+    a_started, base_done, a_done = threading.Event(), threading.Event(), threading.Event()
+
+    def hold_a(runner):
+        def held(config):
+            a_started.set()
+            assert base_done.wait(timeout=30)
+            return runner(config)
+        return held
+
+    def hold_dep(runner):
+        def held(config):
+            base_done.set()
+            assert a_done.wait(timeout=30)
+            return runner(config)
+        return held
+
+    _with_runner("fake_a", hold_a, monkeypatch)
+    _with_runner("fake_dep", hold_dep, monkeypatch)
+    records = {}
+
+    def run(name, items):
+        records[name] = run_group(items)
+
+    other = threading.Thread(target=run, args=("a", [("fake_a", None)]))
+    other.start()
+    assert a_started.wait(timeout=30)
+    dependent = threading.Thread(
+        target=run, args=("dep", [("fake_base", None), ("fake_dep", None)])
+    )
+    dependent.start()
+    other.join(timeout=30)  # released fake_a while fake_dep was running
+    a_done.set()
+    dependent.join(timeout=30)
+    assert [r.exp_id for r in records["a"]] == ["fake_a"]
+    assert all(r.all_ok for r in records["dep"])
+    # The dependent's check was served the baseline its group memoized.
+    assert len(machines["fake_base"]) == 1
+    assert _alive(machines, "fake_base") == [False]
+    assert api.memo_keys() == set()
+
+
+def test_in_process_groups_share_a_baseline_until_the_last_is_done(machines):
+    """Two groups over one dependent (a sweep's batches) compare
+    against one baseline: simulated once, released when both are done."""
+    seen = []
+
+    def progress(record):
+        seen.append(_alive(machines, "fake_base"))
+
+    groups = [[("fake_dep", {"procs": 2})], [("fake_dep", {"procs": 3})]]
+    records = run_parallel(groups, jobs=1, progress=progress)
+    assert all(r.all_ok for r in records)
+    assert seen == [[True], [True]]
+    assert _alive(machines, "fake_base") == [False]
+    assert api.memo_keys() == set()
+
+
+def test_a_kept_baseline_is_released_with_no_scope_to_take_it(machines):
+    keep = api.baseline_keys([("fake_dep", None)])
+    run_group([("fake_dep", None)], keep=keep)
+    assert _alive(machines, "fake_base") == [False]
+    assert api.memo_keys() == set()
+
+
+def test_dependent_group_runs_its_baseline_once_on_the_dependents_preset(machines):
+    cluster = {"preset": "cluster"}
+    records = run_group([("fake_base", cluster), ("fake_dep", cluster)])
+    assert all(r.all_ok for r in records)
+    assert [preset for preset, _ref in machines["fake_base"]] == ["cluster"]
+    assert [preset for preset, _ref in machines["fake_dep"]] == ["cluster"]
+    assert api.memo_keys() == set()
+
+
+def test_a_lone_dependent_simulates_and_releases_its_baseline(machines):
+    run_group([("fake_dep", {"preset": "cluster"})])
+    assert [preset for preset, _ref in machines["fake_base"]] == ["cluster"]
+    assert _alive(machines, "fake_base") == [False]
+    assert api.memo_keys() == set()
+
+
+@pytest.mark.parametrize(
+    "dependent, base", [("em3d_bigcache", "em3d"), ("em3d_localalloc", "em3d"), ("alcp", "lcp")]
+)
+def test_registered_dependents_compare_on_their_own_machine(dependent, base, monkeypatch):
+    """The registry's baselines run on the dependent's backend, memory
+    model and preset (the simulation is stubbed out: the first thing
+    each shape check does is ask for its baseline)."""
+
+    class Asked(Exception):
+        pass
+
+    def run_raw(exp_id, overrides=None):
+        raise Asked(exp_id, overrides)
+
+    monkeypatch.setattr(api, "run_raw", run_raw)
+    machine = {"backend": "reference", "consistency": "tso", "preset": "cluster"}
+    config = api.resolve_config(dependent, dict(machine, procs=4))
+    with pytest.raises(Asked) as asked:
+        build_record(experiments.EXPERIMENTS[dependent], config, None, 0.0)
+    assert asked.value.args == (base, machine)

@@ -5,8 +5,9 @@ import pytest
 
 from repro.arch.params import MachineParams
 from repro.memory.dataspace import HomePolicy
+from repro.sim.events import SimEvent
 from repro.sm.machine import DeadlockError, SmMachine
-from repro.sm.protocol import DirState
+from repro.sm.protocol import DirEntry, DirState, Msg, MsgType, TransactionInfo
 from repro.stats.categories import SmCat
 
 
@@ -161,3 +162,33 @@ def test_spin_until_wakes_on_invalidation(machine2):
     machine2.run(program)
     assert log and log[0][0] == 42.0
     assert log[0][1] >= 5000
+
+
+def test_dir_entry_is_slotted_with_no_queue_until_a_request_parks(machine2):
+    """A directory keeps one entry per block it has served, so an entry
+    carries no ``__dict__`` and no parked-request queue of its own until
+    a request for its busy block arrives."""
+    fresh = DirEntry()
+    assert not hasattr(fresh, "__dict__")
+    assert fresh.pending is None
+    with pytest.raises(AttributeError):
+        fresh.extra = 1
+
+    directory = machine2.directories[0]
+    block = 0
+    entry = directory.entries[block]
+    entry.busy = True  # a transaction on this block is in progress
+    request = Msg(MsgType.GETX, block, src=0, requester=0, done=SimEvent())
+    parked = Msg(MsgType.GETS, block, src=1, requester=1, done=SimEvent())
+    directory.post(parked)
+    machine2.engine.run()
+    assert list(entry.pending) == [parked]
+    assert not parked.done.fired
+
+    # Completing the transaction re-serves the parked request and drops
+    # the queue again.
+    directory._finish_transaction(entry, request, TransactionInfo(with_data=True))
+    machine2.engine.run()
+    assert entry.pending is None
+    assert request.done.fired and parked.done.fired
+    assert entry.state is DirState.SHARED and entry.sharers == {1}

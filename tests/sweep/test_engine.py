@@ -10,6 +10,7 @@ invocations exactly. The real shipped specs run in
 import pytest
 
 from repro.core import experiments
+from repro.runner import api
 from repro.runner.api import clear_memory_cache
 from repro.runner.cache import ResultCache
 from repro.runner.config import ExperimentConfig
@@ -84,6 +85,15 @@ def test_enlarged_sweep_only_simulates_new_points(fake, tmp_path):
     widened = run_sweep(_spec(), jobs=1, cache=cache)
     assert calls == [1, 2, 3, 4, 5]  # the three warm points were served
     assert widened.meta["simulated"] == 2 and widened.meta["cached"] == 3
+
+
+def test_in_process_sweep_holds_no_point_and_spares_the_callers_memo(fake, tmp_path):
+    """Each point's raw result is released as its record is built; a
+    result the caller memoized before the sweep is left where it was."""
+    mine = api.run_raw("fake_sweep", {"procs": 9})
+    run_sweep(_spec(), jobs=1, cache=ResultCache(tmp_path))
+    assert api.run_raw("fake_sweep", {"procs": 9}) is mine
+    assert len(api.memo_keys()) == 1
 
 
 def test_force_resimulates_everything(fake, tmp_path):
