@@ -74,6 +74,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from contextlib import contextmanager
+from functools import partial
 from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -81,6 +82,7 @@ import numpy as np
 from repro.arch.cache import LineState
 from repro.check.errors import CheckError
 from repro.memory.dataspace import Segment
+from repro.sim.batch import run_batch_reference
 from repro.sm.protocol import DirState
 
 
@@ -485,6 +487,8 @@ class Checker:
         ctx.write_scatter = write_scatter
         ctx.atomic_swap = atomic_swap
         ctx.atomic_cas = atomic_cas
+        # A batch is observed only if it decomposes through the wrapped ops.
+        ctx.run_batch = partial(run_batch_reference, ctx)
 
     # -- shared-memory: relaxed commit order + shadow advance ----------------
 

@@ -6,7 +6,8 @@ subroutine invoked with ``yield from``. The context exposes:
 
 * ``compute`` / ``compute_flops`` — charge computation cycles;
 * ``read`` / ``write`` / ``read_gather`` — local memory accesses that
-  drive the cache and TLB simulation at block granularity;
+  drive the cache and TLB simulation at block granularity (there is no
+  ``write_scatter``: it raises ``TypeError`` on both backends);
 * packet injection and polling on the network interface (Table 2 costs);
 * the hardware barrier;
 * the active-message layer (``ctx.am``) and CMMD library (``ctx.cmmd``),
@@ -195,6 +196,10 @@ class MpContext:
             self.stats.charge(MpCat.LOCAL_MISS, stall)
             yield delay_of(stall)
         return region.np.reshape(-1)[np.asarray(indices, dtype=np.int64)]
+
+    def write_scatter(self, region: Region, indices: Sequence[int], values) -> Generator:
+        """Not an operation of this machine, scalar or in a batch."""
+        raise TypeError("the message-passing machine has no write_scatter")
 
     # -- declared bulk runs ---------------------------------------------------
 

@@ -3,7 +3,7 @@
 Under ``consistency="tso"`` or ``"pc"`` the machine builds
 :class:`RelaxedSmContext` (for *both* execution backends — batched
 bulk runs decompose to the scalar ops below, see
-:mod:`repro.sm.batched`), which places a semantic per-processor
+:mod:`repro.sim.batch`), which places a semantic per-processor
 :class:`~repro.arch.write_buffer.StoreBuffer` between the processor and
 the Dir_nNB protocol:
 

@@ -1,7 +1,10 @@
 """Tests of the MpContext programming surface (compute, memory, barrier)."""
 
 import numpy as np
+import pytest
 
+from repro.arch.params import MachineParams
+from repro.mp.machine import MpMachine
 from repro.stats.categories import MpCat
 
 
@@ -63,6 +66,27 @@ def test_read_gather_touches_unique_blocks(machine2):
     result = run(machine2, program)
     # Elements 0-3 share one block; element 16 is another: 2 misses.
     assert result.board.mean_count("local_misses") == 2
+
+
+@pytest.mark.parametrize("in_batch", [False, True], ids=["scalar", "batch"])
+@pytest.mark.parametrize("backend", ["batched", "reference"])
+def test_write_scatter_rejected_alike_on_both_backends(backend, in_batch):
+    """The machine has no indexed store. Both backends reject it with the
+    same error, even on a resident EXCLUSIVE region that the batched
+    fast path would otherwise accept."""
+    machine = MpMachine(MachineParams.paper(num_processors=2), seed=7, backend=backend)
+
+    def program(ctx):
+        region = ctx.alloc("buf", 8)
+        yield from ctx.write(region, values=np.zeros(8))
+        with pytest.raises(TypeError, match="no write_scatter"):
+            if in_batch:
+                yield from ctx.run_batch(ctx.batch().write_scatter(region, [0, 5], [1.0, 2.0]))
+            else:
+                yield from ctx.write_scatter(region, [0, 5], [1.0, 2.0])
+        assert not region.np.any()
+
+    machine.run(program)
 
 
 def test_lib_context_remaps_misses(machine2):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.batch import BatchScript, is_instrumented, reject_unknown_kwargs
+from repro.sim.batch import BatchScript, reject_unknown_kwargs
 
 
 def test_script_builder_chains_and_counts():
@@ -39,13 +39,3 @@ def test_reject_unknown_kwargs_without_hint():
     # No kwargs: a no-op, not an error.
     reject_unknown_kwargs("read", {}, ("start", "stop"))
 
-
-def test_is_instrumented_detects_instance_rebinding():
-    class Ctx:
-        def read(self):
-            pass
-
-    ctx = Ctx()
-    assert not is_instrumented(ctx)
-    ctx.read = lambda: None  # what the checker/tracer does per instance
-    assert is_instrumented(ctx)

@@ -12,7 +12,8 @@ varies).
 The fastest experiments run in tier-1; the rest are ``slow``. The
 litmus and stress suites additionally re-run under both backends: the
 memory-consistency invariants must hold identically, with identical
-outcome histograms.
+outcome histograms. So must the invariant checker over the apps that
+run batches: it has to observe every scalar op a batch stands for.
 """
 
 import pytest
@@ -174,3 +175,35 @@ def test_mp_stress_clean_and_identical_across_backends():
     batched = run_mp_stress(ops=150, seed=7, backend="batched")
     reference = run_mp_stress(ops=150, seed=7, backend="reference")
     assert batched == reference
+
+
+# -- the invariant checker over batch-using apps -----------------------------
+
+
+def _checker_report(exp_id, backend):
+    from repro import check
+
+    api.clear_memory_cache()
+    with check.checking() as checker:
+        api.record_for(exp_id, dict(SMALL[exp_id], backend=backend), use_cache=False)
+    return checker.report()
+
+
+def _assert_checker_parity(exp_id):
+    """The checker rebinds a context's data ops and routes its run_batch
+    through the reference decomposition, so a checked batched run makes
+    exactly the checks of a checked reference run."""
+    batched = _checker_report(exp_id, "batched")
+    assert batched == _checker_report(exp_id, "reference")
+    assert batched["data-value"] > 0 and batched["swmr"] > 0
+
+
+@pytest.mark.parametrize("exp_id", ("mse", "gauss"))
+def test_checker_reports_identical_across_backends(exp_id):
+    _assert_checker_parity(exp_id)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("exp_id", ("em3d",))
+def test_checker_reports_identical_across_backends_slow(exp_id):
+    _assert_checker_parity(exp_id)
