@@ -31,7 +31,7 @@ from __future__ import annotations
 import gc
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.apps.em3d import Em3dConfig
 from repro.apps.gauss import GaussConfig
@@ -39,6 +39,10 @@ from repro.apps.lcp import LcpConfig
 from repro.apps.mse import MseConfig
 from repro.core.study import PairResult
 from repro.runner.config import ExperimentConfig
+
+if TYPE_CHECKING:  # annotations only: the registry loads no simulator
+    from repro.mp.machine import MpMachine
+    from repro.sm.machine import SmMachine
 
 #: A shape check: (description, passed, detail-string).
 ShapeCheck = Tuple[str, bool, str]
@@ -210,18 +214,56 @@ VALIDATION_CONFIG = ExperimentConfig(exp_id="validation", procs=2, seed=_SEED)
 
 # ---------------------------------------------------------------------------
 # Runners: top-level functions of an explicit config.
+#
+# A runner keeps no machine. Each run's result is reduced to its board,
+# elapsed cycles and event count (_machine_free), and each machine is
+# built by _mp_machine/_sm_machine, which first reclaim every earlier
+# one: machines are reference cycles (engine, processes, generator
+# frames, contexts) that only the cycle collector frees. So a worker
+# holds one machine at a time, and a baseline the memo keeps for later
+# checks costs only its boards. The validation microbenchmarks are
+# exempt: their three machines have two processors each.
 # ---------------------------------------------------------------------------
+
+
+def _mp_machine(config: ExperimentConfig, **kwargs: Any) -> MpMachine:
+    """A message-passing machine for ``config``, built once every earlier
+    machine is reclaimed."""
+    from repro.mp.machine import MpMachine
+
+    gc.collect()
+    return MpMachine(
+        config.machine_params(), seed=config.seed, backend=config.backend, **kwargs
+    )
+
+
+def _sm_machine(
+    config: ExperimentConfig, procs: Optional[int] = None, **kwargs: Any
+) -> SmMachine:
+    """A shared-memory machine for ``config`` (on ``procs`` processors, if
+    given), built once every earlier machine is reclaimed."""
+    from repro.sm.machine import SmMachine
+
+    gc.collect()
+    return SmMachine(
+        config.machine_params(procs), seed=config.seed, backend=config.backend,
+        consistency=config.consistency, **kwargs,
+    )
+
+
+def _machine_free(run: Tuple[Any, ...]) -> Any:
+    """An app run's result without its machine or program outputs (views
+    of the machine's memory); its board, elapsed cycles and event count
+    still feed the checks and the record."""
+    return replace(run[0], machine=None, outputs=[])
 
 
 def run_mse_pair(config: ExperimentConfig) -> PairResult:
     from repro.apps.mse.mp import run_mse_mp
     from repro.apps.mse.sm import run_mse_sm
-    from repro.mp.machine import MpMachine
-    from repro.sm.machine import SmMachine
 
-    params = config.machine_params()
-    mp_result, _x = run_mse_mp(MpMachine(params, seed=config.seed, backend=config.backend), config.app)
-    sm_result, _x2 = run_mse_sm(SmMachine(params, seed=config.seed, backend=config.backend, consistency=config.consistency), config.app)
+    mp_result = _machine_free(run_mse_mp(_mp_machine(config), config.app))
+    sm_result = _machine_free(run_mse_sm(_sm_machine(config), config.app))
     return PairResult(
         name="MSE", mp_result=mp_result, sm_result=sm_result,
         phases=["init", "main"],
@@ -231,15 +273,12 @@ def run_mse_pair(config: ExperimentConfig) -> PairResult:
 def run_gauss_pair(config: ExperimentConfig) -> PairResult:
     from repro.apps.gauss.mp import run_gauss_mp
     from repro.apps.gauss.sm import run_gauss_sm
-    from repro.mp.machine import MpMachine
-    from repro.sm.machine import SmMachine
 
-    params = config.machine_params()
-    mp_result, _x = run_gauss_mp(MpMachine(params, seed=config.seed, backend=config.backend), config.app)
-    sm_result, _x2 = run_gauss_sm(SmMachine(params, seed=config.seed, backend=config.backend, consistency=config.consistency), config.app)
-    extra = {"directory_queue_delay": sm_result.machine.directory_contention()}
+    mp_result = _machine_free(run_gauss_mp(_mp_machine(config), config.app))
+    sm_run = run_gauss_sm(_sm_machine(config), config.app)
+    extra = {"directory_queue_delay": sm_run[0].machine.directory_contention()}
     return PairResult(
-        name="Gauss", mp_result=mp_result, sm_result=sm_result,
+        name="Gauss", mp_result=mp_result, sm_result=_machine_free(sm_run),
         phases=["init", "main"], extra=extra,
     )
 
@@ -247,18 +286,13 @@ def run_gauss_pair(config: ExperimentConfig) -> PairResult:
 def run_gauss_collectives(config: ExperimentConfig) -> Dict[str, float]:
     """The text's strategy study: flat vs binary vs lop-sided trees."""
     from repro.apps.gauss.mp import run_gauss_mp
-    from repro.mp.machine import MpMachine
 
-    totals: Dict[str, float] = {}
-    for strategy in config.opt("strategies", ("flat", "binary", "lopsided")):
-        machine = MpMachine(
-            config.machine_params(),
-            seed=config.seed, backend=config.backend,
-            collective_strategy=strategy,
-        )
-        result, _x = run_gauss_mp(machine, config.app)
-        totals[strategy] = result.board.mean_total()
-    return totals
+    return {
+        strategy: run_gauss_mp(
+            _mp_machine(config, collective_strategy=strategy), config.app
+        )[0].board.mean_total()
+        for strategy in config.opt("strategies", ("flat", "binary", "lopsided"))
+    }
 
 
 def run_gauss_contention(config: ExperimentConfig) -> Dict[int, Dict[str, float]]:
@@ -269,42 +303,38 @@ def run_gauss_contention(config: ExperimentConfig) -> Dict[int, Dict[str, float]
     problem size) and record the mean directory queue delay and the
     average cost of a shared miss.
     """
+    return {
+        nprocs: _contention_point(config, nprocs)
+        for nprocs in config.opt("proc_counts", (4, 8, 16))
+    }
+
+
+def _contention_point(config: ExperimentConfig, nprocs: int) -> Dict[str, float]:
+    """One Gauss-SM run of the contention study on ``nprocs`` processors."""
     from repro.apps.gauss.sm import run_gauss_sm
-    from repro.sm.machine import SmMachine
     from repro.stats.categories import SmCat
 
-    results: Dict[int, Dict[str, float]] = {}
-    for nprocs in config.opt("proc_counts", (4, 8, 16)):
-        machine = SmMachine(
-            config.machine_params(procs=nprocs), seed=config.seed, backend=config.backend, consistency=config.consistency
-        )
-        run, _x = run_gauss_sm(machine, config.app)
-        board = run.board
-        misses = board.mean_count("shared_misses_remote") + board.mean_count(
-            "shared_misses_local"
-        )
-        results[nprocs] = {
-            "queue_delay": machine.directory_contention(),
-            "miss_cost": board.mean_cycles(SmCat.SHARED_MISS) / max(misses, 1),
-            "total": board.mean_total(),
-        }
-    return results
+    run, _x = run_gauss_sm(_sm_machine(config, procs=nprocs), config.app)
+    board = run.board
+    misses = board.mean_count("shared_misses_remote") + board.mean_count(
+        "shared_misses_local"
+    )
+    return {
+        "queue_delay": run.machine.directory_contention(),
+        "miss_cost": board.mean_cycles(SmCat.SHARED_MISS) / max(misses, 1),
+        "total": board.mean_total(),
+    }
 
 
 def run_em3d_pair(config: ExperimentConfig) -> PairResult:
     from repro.apps.em3d.mp import run_em3d_mp
     from repro.apps.em3d.sm import run_em3d_sm
     from repro.memory.dataspace import HomePolicy
-    from repro.mp.machine import MpMachine
-    from repro.sm.machine import SmMachine
 
-    params = config.machine_params()
     policy = HomePolicy(config.opt("policy", HomePolicy.ROUND_ROBIN.value))
-    mp_result, _e, _h = run_em3d_mp(
-        MpMachine(params, seed=config.seed, backend=config.backend), config.app
-    )
-    sm_result, _e2, _h2 = run_em3d_sm(
-        SmMachine(params, seed=config.seed, backend=config.backend, consistency=config.consistency, allocation_policy=policy), config.app
+    mp_result = _machine_free(run_em3d_mp(_mp_machine(config), config.app))
+    sm_result = _machine_free(
+        run_em3d_sm(_sm_machine(config, allocation_policy=policy), config.app)
     )
     return PairResult(
         name="EM3D", mp_result=mp_result, sm_result=sm_result,
@@ -317,56 +347,36 @@ def run_em3d_protocols(config: ExperimentConfig) -> Dict[str, Any]:
 
     Runs EM3D-SM under the base invalidation protocol, with consumer
     flushes, and with the bulk-update protocol, against the EM3D-MP
-    baseline. Each run keeps only its board and elapsed cycles, and its
-    machine is reclaimed before the next is built: one machine is alive
-    at a time rather than all four.
+    baseline.
     """
     from repro.apps.em3d.mp import run_em3d_mp
     from repro.apps.em3d.sm import run_em3d_sm
-    from repro.mp.machine import MpMachine
-    from repro.sm.machine import SmMachine
 
-    params = config.machine_params()
-    results: Dict[str, Any] = {"mp": _machine_free(run_em3d_mp(
-        MpMachine(params, seed=config.seed, backend=config.backend), config.app
-    ))}
+    results: Dict[str, Any] = {
+        "mp": _machine_free(run_em3d_mp(_mp_machine(config), config.app))
+    }
     for variant in config.opt("variants", ("base", "flush", "update")):
-        # The last run's machine is a reference cycle, which only the
-        # cycle collector frees.
-        gc.collect()
-        results[variant] = _machine_free(run_em3d_sm(
-            SmMachine(params, seed=config.seed, backend=config.backend, consistency=config.consistency),
-            config.app, variant=variant,
-        ))
+        results[variant] = _machine_free(
+            run_em3d_sm(_sm_machine(config), config.app, variant=variant)
+        )
     return results
-
-
-def _machine_free(run: Tuple[Any, ...]) -> Any:
-    """An app run's result without its machine or program outputs (views
-    of the machine's memory); the board still feeds the checks."""
-    return replace(run[0], machine=None, outputs=[])
 
 
 def run_lcp_pair(config: ExperimentConfig) -> PairResult:
     from repro.apps.lcp.mp import run_lcp_mp
     from repro.apps.lcp.sm import run_lcp_sm
-    from repro.mp.machine import MpMachine
-    from repro.sm.machine import SmMachine
 
     asynchronous = bool(config.opt("asynchronous", False))
-    params = config.machine_params()
-    mp_result, _z, mp_steps = run_lcp_mp(
-        MpMachine(params, seed=config.seed, backend=config.backend), config.app, asynchronous=asynchronous
-    )
-    sm_result, _z2, sm_steps = run_lcp_sm(
-        SmMachine(params, seed=config.seed, backend=config.backend, consistency=config.consistency), config.app, asynchronous=asynchronous
-    )
+    mp_run = run_lcp_mp(_mp_machine(config), config.app, asynchronous=asynchronous)
+    mp_result, mp_steps = _machine_free(mp_run), mp_run[2]
+    del mp_run  # the MP machine's last reference: _sm_machine reclaims it
+    sm_run = run_lcp_sm(_sm_machine(config), config.app, asynchronous=asynchronous)
     return PairResult(
         name="ALCP" if asynchronous else "LCP",
         mp_result=mp_result,
-        sm_result=sm_result,
+        sm_result=_machine_free(sm_run),
         phases=["init", "main"],
-        extra={"mp_steps": mp_steps, "sm_steps": sm_steps},
+        extra={"mp_steps": mp_steps, "sm_steps": sm_run[2]},
     )
 
 

@@ -67,6 +67,7 @@ class MpRunResult:
 
     board: StatsBoard
     elapsed_cycles: int
+    events_executed: int
     outputs: List[Any]
     machine: "MpMachine"
 
@@ -151,6 +152,7 @@ class MpMachine:
         return MpRunResult(
             board=StatsBoard([node.stats for node in self.nodes]),
             elapsed_cycles=elapsed,
+            events_executed=self.engine.events_executed,
             outputs=[p.result() for p in processes],
             machine=self,
         )

@@ -29,9 +29,9 @@ from repro.runner.config import ExperimentConfig
 from repro.runner.executor import WorkItem, default_jobs, plan_groups, run_group, run_parallel
 from repro.runner.record import SHAPE_CONFIG, RunRecord
 
-#: In-process memo of raw results, keyed by the content address.
-#: Raw results hold live machine objects, so they cannot live on disk;
-#: the disk cache stores the serializable records instead.
+#: In-process memo of raw results, keyed by the content address. Raw
+#: results are simulator objects (a registered runner's hold boards, not
+#: machines); the disk cache stores the serializable records instead.
 _MEMO: Dict[str, Any] = {}
 
 #: The :class:`MemoScope` this thread is running in, if any.

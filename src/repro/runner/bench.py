@@ -161,11 +161,7 @@ def _bench_apps(
         start = time.perf_counter()
         pair = spec.runner(config)
         seconds = time.perf_counter() - start
-        events = 0
-        for result in (pair.mp_result, pair.sm_result):
-            machine = getattr(result, "machine", None)
-            engine = getattr(machine, "engine", None)
-            events += getattr(engine, "events_executed", 0) or 0
+        events = pair.mp_result.events_executed + pair.sm_result.events_executed
         row = {
             "experiment": exp_id,
             "backend": backend,

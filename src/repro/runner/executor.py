@@ -98,12 +98,15 @@ def run_group(
     a baseline a later item's checks still need, which goes after its
     last dependent: when this returns, the in-process memo holds
     nothing the group put there but the baselines named in ``keep``,
-    which a caller's :class:`~repro.runner.api.MemoScope` takes over. A
-    dependency group (a baseline and its full-size variants, such as
-    em3d's) reclaims each result's machines before the next is built;
-    a group of independent items (one experiment, or a sweep batch of
-    at most four points) reclaims them once, at the end, saving a full
-    collection per point.
+    which a caller's :class:`~repro.runner.api.MemoScope` takes over.
+    A registered runner keeps no machine and reclaims every earlier one
+    before it builds its own, so the group holds one machine at a time.
+    For a runner whose result does hold machines, a dependency group (a
+    baseline and its full-size variants, such as em3d's) reclaims each
+    result's machines before the next item runs; a group of
+    independent items (one experiment, or a sweep batch of at most four
+    points) reclaims them once, at the end, saving a full collection
+    per point.
 
     Must stay a top-level function: it is pickled by name when shipped
     to a spawned worker.

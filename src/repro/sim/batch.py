@@ -34,15 +34,14 @@ construction. Zero-stall ops charge no cycles and yield no events in
 the reference semantics, which is precisely why the fast path may skip
 the generator protocol entirely.
 
-Clean verdicts (all pages and blocks resident, no state fixups) are
-*memoized* against the TLB and cache version stamps (see
+A script's clean verdicts (all pages and blocks resident, no state
+fixups) are *memoized* against the TLB and cache version stamps (see
 :class:`~repro.arch.cache.Cache`): neither structure mutates on a hit,
 so while both versions are unchanged the memoized verdict — and the
 exact hit counts it commits — is still what a fresh probe would
-produce. Prebuilt scripts carry their memo table across iterations;
-scalar ops share a per-context table keyed by ``(region, start, stop,
-write)``. A verdict that required fixups bumps the cache version itself
-and is never memoized.
+produce. Prebuilt scripts carry their memo table across iterations; a
+scalar op outside a script probes afresh each time. A verdict that
+required fixups bumps the cache version itself and is never memoized.
 
 ``run_batch`` executes a whole script in one generator frame. The
 invariant checker, the one tool that rebinds a context's data ops, also
@@ -195,9 +194,6 @@ class BatchedContext:
     def __init__(self, *args: Any, compute: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self._compute = compute
-        # Scalar-op verdict memo: (region, start, stop, write) ->
-        # [tlb_version, cache_version, npages, nblocks].
-        self._range_memo: dict = {}
 
     def _fast_range(self, region: Region, start: int, stop: int, write: bool):
         """Attempt [start, stop) as one batched step.
@@ -322,18 +318,7 @@ class BatchedContext:
             reject_unknown_kwargs("read", kwargs, ("start", "stop"))
         if stop is None:
             stop = region.flat.size
-        tlb = self.tlb
-        cache = self.cache
-        key = (region, start, stop, False)
-        memo = self._range_memo.get(key)
-        if memo is not None and memo[0] == tlb.version and memo[1] == cache.version:
-            tlb.hits += memo[2]
-            cache.hits += memo[3]
-            return region.flat[start:stop]
-        r = self._fast_range(region, start, stop, False)
-        if r is not None:
-            if r is not False:
-                self._range_memo[key] = [tlb.version, cache.version, r[0], r[1]]
+        if self._fast_range(region, start, stop, False) is not None:
             return region.flat[start:stop]
         return (yield from super().read(region, start, stop))
 
@@ -353,20 +338,7 @@ class BatchedContext:
             stop = start + values.size
         if stop is None:
             raise ValueError("write needs values or stop")
-        tlb = self.tlb
-        cache = self.cache
-        key = (region, start, stop, True)
-        memo = self._range_memo.get(key)
-        if memo is not None and memo[0] == tlb.version and memo[1] == cache.version:
-            tlb.hits += memo[2]
-            cache.hits += memo[3]
-            if values is not None:
-                region.flat[start:stop] = values.reshape(-1)
-            return
-        r = self._fast_range(region, start, stop, True)
-        if r is not None:
-            if r is not False:
-                self._range_memo[key] = [tlb.version, cache.version, r[0], r[1]]
+        if self._fast_range(region, start, stop, True) is not None:
             if values is not None:
                 region.flat[start:stop] = values.reshape(-1)
             return

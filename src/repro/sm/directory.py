@@ -22,7 +22,7 @@ from typing import Deque, Dict, Generator, Tuple
 from repro.check.errors import CheckError
 from repro.sim.events import Gate, SimEvent
 from repro.sim.process import Process, Wait, delay_of
-from repro.sm.protocol import DirEntry, DirState, Msg, MsgType, TransactionInfo
+from repro.sm.protocol import DirEntry, DirState, Msg, MsgType, TransactionInfo, bit_nodes
 
 
 class Directory:
@@ -109,8 +109,8 @@ class Directory:
             # Section 5.3.4 extension: a consumer proactively dropped its
             # clean copy, so the next write needs no invalidation round.
             yield delay_of(self.sm.directory_ack_cycles)
-            entry.sharers.discard(msg.src)
-            if entry.state is DirState.SHARED and not entry.sharers:
+            entry.sharer_bits &= ~(1 << msg.src)
+            if entry.state is DirState.SHARED and not entry.sharer_bits:
                 entry.state = DirState.UNOWNED
         else:
             raise CheckError(
@@ -159,27 +159,27 @@ class Directory:
                 + self.sm.directory_send_block_cycles
             )
             entry.state = DirState.SHARED
-            entry.sharers.add(requester)
+            entry.sharer_bits |= 1 << requester
             entry.owner = None
             self._complete(msg, TransactionInfo(with_data=True))
             return
 
-        # GETX or UPGRADE.
-        targets = entry.sharers - {requester}
+        # GETX or UPGRADE: invalidate every other copy, in node order.
+        held = entry.sharer_bits & (1 << requester)
+        targets = list(bit_nodes(entry.sharer_bits ^ held))
         if entry.state is DirState.SHARED and targets:
             entry.busy = True
             entry.waiting = msg
             entry.acks_needed = len(targets)
             entry.txn_info = TransactionInfo(
-                with_data=(msg.type is MsgType.GETX)
-                or requester not in entry.sharers,
+                with_data=(msg.type is MsgType.GETX) or not held,
                 invalidations=len(targets),
             )
             yield delay_of(
                 self.sm.directory_base_cycles
                 + self.sm.directory_send_msg_cycles * len(targets)
             )
-            for target in sorted(targets):
+            for target in targets:
                 self.machine.send_to_cache_ctrl(
                     self.node_id,
                     target,
@@ -188,16 +188,14 @@ class Directory:
             return
 
         # No other copies: grant immediately.
-        with_data = not (
-            msg.type is MsgType.UPGRADE and requester in entry.sharers
-        )
+        with_data = not (msg.type is MsgType.UPGRADE and held)
         occupancy = self.sm.directory_base_cycles + self.sm.directory_send_msg_cycles
         if with_data:
             occupancy += self.common.dram_cycles + self.sm.directory_send_block_cycles
         yield delay_of(occupancy)
         entry.state = DirState.EXCLUSIVE
         entry.owner = requester
-        entry.sharers.clear()
+        entry.sharer_bits = 0
         self._complete(msg, TransactionInfo(with_data=with_data))
 
     def _handle_ack(self, entry: DirEntry, msg: Msg) -> Generator:
@@ -222,7 +220,7 @@ class Directory:
         yield delay_of(occupancy)
         entry.state = DirState.EXCLUSIVE
         entry.owner = request.requester
-        entry.sharers.clear()
+        entry.sharer_bits = 0
         self._finish_transaction(entry, request, info)
 
     def _handle_fetch_reply(self, entry: DirEntry, msg: Msg) -> Generator:
@@ -238,14 +236,14 @@ class Directory:
         old_owner = entry.owner
         if request.type is MsgType.GETS:
             entry.state = DirState.SHARED
-            entry.sharers = {request.requester}
+            entry.sharer_bits = 1 << request.requester
             if old_owner is not None:
-                entry.sharers.add(old_owner)  # owner downgraded to a copy
+                entry.sharer_bits |= 1 << old_owner  # owner downgraded to a copy
             entry.owner = None
         else:
             entry.state = DirState.EXCLUSIVE
             entry.owner = request.requester
-            entry.sharers.clear()
+            entry.sharer_bits = 0
         self._finish_transaction(entry, request, info)
 
     # -- completion ------------------------------------------------------------------------

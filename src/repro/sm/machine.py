@@ -82,6 +82,7 @@ class SmRunResult:
 
     board: StatsBoard
     elapsed_cycles: int
+    events_executed: int
     outputs: List[Any]
     machine: "SmMachine"
 
@@ -276,6 +277,7 @@ class SmMachine:
         return SmRunResult(
             board=StatsBoard([node.stats for node in self.nodes]),
             elapsed_cycles=elapsed,
+            events_executed=self.engine.events_executed,
             outputs=[p.result() for p in processes],
             machine=self,
         )

@@ -2,15 +2,16 @@
 
 ``Dir_nNB``: a full-map directory (n = all processors may share a
 block), No Broadcast. The directory at a block's home node records
-either a set of sharers (read-only copies) or a single owner (writable
-dirty copy) and sends the fewest possible invalidations.
+either its sharers (read-only copies), as a full-map vector of one
+presence bit per processor, or a single owner (writable dirty copy),
+and sends the fewest possible invalidations.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Deque, Optional, Set
+from typing import Any, Deque, FrozenSet, Iterator, Optional
 
 from repro.sim.events import SimEvent
 
@@ -19,7 +20,7 @@ class DirState(enum.Enum):
     """Directory-side state of a block."""
 
     UNOWNED = 0  # memory at home holds the only copy
-    SHARED = 1  # read-only copies at `sharers`
+    SHARED = 1  # read-only copies at the nodes in `sharer_bits`
     EXCLUSIVE = 2  # one dirty copy at `owner`
 
 
@@ -74,23 +75,33 @@ class TransactionInfo:
     fetched: bool = False
 
 
+def bit_nodes(bits: int) -> Iterator[int]:
+    """The node ids whose bits are set in ``bits``, in ascending order."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 class DirEntry:
     """Directory record for one block at its home node.
 
     A directory holds one entry for every block it has ever served, so
-    the entry is a slotted class, and its ``pending`` queue (requests
-    parked while a transaction is in progress) stays ``None`` until a
-    request first parks.
+    the entry is a slotted class, its sharers are the paper's full-map
+    bit vector (bit ``p`` of ``sharer_bits`` is set while node ``p`` may
+    hold a read-only copy), and its ``pending`` queue (requests parked
+    while a transaction is in progress) stays ``None`` until a request
+    first parks.
     """
 
     __slots__ = (
-        "state", "sharers", "owner", "busy", "pending",
+        "state", "sharer_bits", "owner", "busy", "pending",
         "acks_needed", "waiting", "txn_info",
     )
 
     def __init__(self) -> None:
         self.state = DirState.UNOWNED
-        self.sharers: Set[int] = set()
+        self.sharer_bits = 0
         self.owner: Optional[int] = None
         self.busy = False  # a multi-message transaction is in progress
         self.pending: Optional[Deque[Msg]] = None
@@ -98,6 +109,11 @@ class DirEntry:
         self.acks_needed = 0
         self.waiting: Optional[Msg] = None  # the request being served
         self.txn_info: Optional[TransactionInfo] = None
+
+    @property
+    def sharers(self) -> FrozenSet[int]:
+        """The nodes whose presence bits are set (a read-only view)."""
+        return frozenset(bit_nodes(self.sharer_bits))
 
     def describe(self) -> str:
         if self.state is DirState.EXCLUSIVE:

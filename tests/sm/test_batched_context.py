@@ -1,13 +1,16 @@
 """White-box tests of the batched backend's verdict memoization.
 
 The differential suite proves the backends bit-identical end to end;
-these tests pin the memo mechanics — verdicts are stamped with the
-TLB/cache versions they were computed at, reused only while both stand,
-and never recorded for outcomes that themselves changed line states.
+these tests pin the memo mechanics — a script's verdicts are stamped
+with the TLB/cache versions they were computed at, reused only while
+both stand, and never recorded for outcomes that themselves changed
+line states — and that scalar ops, which probe afresh, count the
+reference context's hits.
 Both machines run the one implementation
 (:class:`repro.sim.batch.BatchedContext`), so every test runs on each.
 """
 
+import numpy as np
 import pytest
 
 from repro.arch.params import MachineParams
@@ -18,14 +21,15 @@ from repro.sm.batched import BatchedSmContext
 from repro.sm.machine import SmMachine
 
 
-def machines():
-    """A fresh default-backend 2-processor machine of each kind, with its
-    batched context class and a node-local allocator ``alloc(ctx, n)``."""
+def machines(**kwargs):
+    """A fresh 2-processor machine of each kind (default backend unless
+    ``kwargs`` say otherwise), with its batched context class and a
+    node-local allocator ``alloc(ctx, n)``."""
     params = MachineParams.paper(num_processors=2)
-    yield SmMachine(params, seed=11), BatchedSmContext, (
+    yield SmMachine(params, seed=11, **kwargs), BatchedSmContext, (
         lambda ctx, n: ctx.alloc_private("buf", n)
     )
-    yield MpMachine(params, seed=11), BatchedMpContext, (
+    yield MpMachine(params, seed=11, **kwargs), BatchedMpContext, (
         lambda ctx, n: ctx.alloc("buf", n)
     )
 
@@ -40,49 +44,30 @@ def test_machine_default_backend_is_batched():
         machine.run(program)
 
 
-def test_scalar_memo_populated_by_clean_fast_path():
-    for machine, _cls, alloc in machines():
-        seen = {}
+def test_repeated_scalar_ops_commit_the_reference_hit_counts():
+    """Scalar reads and writes of a resident range, repeated, commit
+    exactly the TLB and cache hits the reference context counts."""
+    counts = {}
+    for backend in ("batched", "reference"):
+        for machine, _cls, alloc in machines(backend=backend):
 
-        def program(ctx):
-            if ctx.pid == 0:
-                buf = alloc(ctx, 8)
-                yield from ctx.read(buf, 0, 8)  # cold: misses, no memo
-                assert not ctx._range_memo
-                yield from ctx.read(buf, 0, 8)  # warm: clean verdict memoized
-                assert (buf, 0, 8, False) in ctx._range_memo
-                memo = ctx._range_memo[(buf, 0, 8, False)]
-                seen["memo"] = list(memo)
-                seen["versions"] = (ctx.tlb.version, ctx.cache.version)
-                hits = (ctx.tlb.hits, ctx.cache.hits)
-                yield from ctx.read(buf, 0, 8)  # memo hit commits hit counts
-                seen["hit_delta"] = (ctx.tlb.hits - hits[0], ctx.cache.hits - hits[1])
-            else:
+            def program(ctx):
+                if ctx.pid == 0:
+                    buf = alloc(ctx, 16)
+                    for _ in range(3):
+                        yield from ctx.read(buf, 0, 16)
+                        yield from ctx.write(buf, 4, values=np.arange(8.0))
+                        yield from ctx.read(buf, 2, 9)
                 yield from ctx.compute(1)
 
-        machine.run(program)
-        tlb_v, cache_v, npages, nblocks = seen["memo"]
-        assert (tlb_v, cache_v) == seen["versions"]
-        assert seen["hit_delta"] == (npages, nblocks)
-
-
-def test_scalar_memo_invalidated_by_version_bump():
-    for machine, _cls, alloc in machines():
-
-        def program(ctx):
-            if ctx.pid == 0:
-                buf = alloc(ctx, 8)
-                yield from ctx.read(buf, 0, 8)
-                yield from ctx.read(buf, 0, 8)
-                memo = ctx._range_memo[(buf, 0, 8, False)]
-                assert memo[1] == ctx.cache.version
-                # Any line-state change anywhere moves the cache version,
-                # making every stored verdict stale.
-                ctx.cache.flush()
-                assert memo[1] != ctx.cache.version
-            yield from ctx.compute(1)
-
-        machine.run(program)
+            machine.run(program)
+            tlb, cache = machine.nodes[0].tlb, machine.nodes[0].cache
+            counts.setdefault(type(machine).__name__, {})[backend] = (
+                tlb.hits, tlb.misses, cache.hits, cache.misses,
+            )
+    for name, by_backend in counts.items():
+        assert by_backend["batched"] == by_backend["reference"], name
+        assert by_backend["batched"][2] > 0, name
 
 
 def test_script_memos_filled_on_clean_runs():

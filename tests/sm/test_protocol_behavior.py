@@ -192,3 +192,73 @@ def test_dir_entry_is_slotted_with_no_queue_until_a_request_parks(machine2):
     assert entry.pending is None
     assert request.done.fired and parked.done.fired
     assert entry.state is DirState.SHARED and entry.sharers == {1}
+
+
+# -- the full-map bit vector ---------------------------------------------------
+
+
+def _serve(machine, *messages):
+    """Post each ``(type, src[, requester])`` message for block 0 to node
+    0's directory, in turn, and return the block's entry."""
+    directory = machine.directories[0]
+    for msg_type, src, *requester in messages:
+        requester = requester[0] if requester else src
+        directory.post(Msg(msg_type, 0, src=src, requester=requester, done=SimEvent()))
+        machine.engine.run()
+    return directory.entries[0]
+
+
+@pytest.fixture
+def sent(machine4, monkeypatch):
+    """The directory's messages to cache controllers, captured instead of
+    delivered, as ``(destination, message)`` pairs."""
+    sent = []
+    monkeypatch.setattr(
+        machine4, "send_to_cache_ctrl", lambda src, dest, msg: sent.append((dest, msg))
+    )
+    return sent
+
+
+def test_sharers_are_a_full_map_bit_vector(machine4, sent):
+    entry = _serve(machine4, *[(MsgType.GETS, node) for node in (3, 1, 2)])
+    assert entry.state is DirState.SHARED
+    assert entry.sharer_bits == 0b1110
+    assert entry.sharers == {1, 2, 3}
+    assert entry.describe() == "SHARED[1, 2, 3]"
+    with pytest.raises(AttributeError):
+        entry.sharers = {0}  # a read-only view of the bits
+
+
+def test_getx_invalidates_sharers_in_node_order(machine4, sent):
+    """A GETX from node 0 sends INVs to 1, 2 and 3 in that order,
+    whatever order their copies were granted in."""
+    entry = _serve(machine4, *[(MsgType.GETS, node) for node in (3, 1, 2)], (MsgType.GETX, 0))
+    assert [(dest, msg.type) for dest, msg in sent] == [
+        (1, MsgType.INV), (2, MsgType.INV), (3, MsgType.INV),
+    ]
+    assert entry.busy and entry.acks_needed == 3
+    assert entry.txn_info.invalidations == 3 and entry.txn_info.with_data
+
+
+def test_upgrade_leaves_the_requesting_sharer_out(machine4, sent):
+    entry = _serve(machine4, *[(MsgType.GETS, node) for node in (1, 2, 3)], (MsgType.UPGRADE, 2))
+    assert [dest for dest, _msg in sent] == [1, 3]
+    assert entry.txn_info.invalidations == 2
+    assert not entry.txn_info.with_data  # node 2 already holds the data
+
+
+def test_fetch_reply_to_a_gets_leaves_requester_and_old_owner(machine4, sent):
+    entry = _serve(machine4, (MsgType.GETX, 1), (MsgType.GETS, 3))
+    assert [(dest, msg.type) for dest, msg in sent] == [(1, MsgType.FETCH)]
+    assert entry.busy and entry.describe() == "EXCLUSIVE@1"
+    entry = _serve(machine4, (MsgType.FETCH_REPLY, 1, 3))
+    assert not entry.busy
+    assert entry.sharers == {1, 3} and entry.describe() == "SHARED[1, 3]"
+
+
+def test_flush_clears_its_bit_and_the_last_one_unowns(machine4, sent):
+    entry = _serve(machine4, (MsgType.GETS, 1), (MsgType.GETS, 2), (MsgType.FLUSH, 1))
+    assert entry.state is DirState.SHARED and entry.sharers == {2}
+    entry = _serve(machine4, (MsgType.FLUSH, 2))
+    assert entry.state is DirState.UNOWNED and entry.sharer_bits == 0
+    assert entry.describe() == "UNOWNED"

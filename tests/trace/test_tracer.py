@@ -83,8 +83,8 @@ def test_tracing_does_not_perturb_golden_counts():
         "sm_total": pair.sm_result.board.mean_total(),
         "mp_elapsed": pair.mp_result.elapsed_cycles,
         "sm_elapsed": pair.sm_result.elapsed_cycles,
-        "mp_events": pair.mp_result.machine.engine.events_executed,
-        "sm_events": pair.sm_result.machine.engine.events_executed,
+        "mp_events": pair.mp_result.events_executed,
+        "sm_events": pair.sm_result.events_executed,
     }
     assert observed == MSE_GOLDEN
 
