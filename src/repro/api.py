@@ -185,9 +185,7 @@ def serve(
     port: int = 8737,
     jobs: int = 2,
     cache_bytes: Optional[int] = None,
-    store: Optional[str] = None,
     max_pending: Optional[int] = 64,
-    rate_limit: Optional[float] = None,
     block: bool = True,
     **kwargs: Any,
 ):
@@ -195,20 +193,14 @@ def serve(
 
     ``jobs`` sizes the simulation worker pool; ``cache_bytes`` bounds
     the on-disk result cache (stale-salt-first LRU eviction, ``None``
-    = unbounded). ``store`` picks the result-store backend:
-    ``"local"`` (default, one server owns the directory) or
-    ``"shared"`` (N replicas on one filesystem — cross-replica claims
-    guarantee one simulation fleet-wide per cache key). ``max_pending``
-    bounds the cold-job backlog (``429`` + ``Retry-After`` beyond it;
-    ``None`` = unbounded) and ``rate_limit`` adds a per-client
-    token-bucket limit in submissions/second. With ``block=True`` (the
-    CLI path) this serves on the calling thread until interrupted;
-    with ``block=False`` it returns the started
+    = unbounded). ``max_pending`` bounds the cold-job backlog (``429``
+    + ``Retry-After`` beyond it; ``None`` = unbounded). With
+    ``block=True`` (the CLI path) this serves on the calling thread
+    until interrupted; with ``block=False`` it returns the started
     :class:`~repro.serve.server.ReproServer` (``port=0`` picks an
     ephemeral port — read ``server.url``). Remaining keyword arguments
     pass through to the server constructor (``cache``,
-    ``run_executor``, ``rate_burst``, ``retention_seconds``,
-    ``quiet``, ...).
+    ``run_executor``, ``retention_seconds``, ``quiet``, ...).
     """
     from repro.serve.server import ReproServer
 
@@ -217,9 +209,7 @@ def serve(
         port=port,
         jobs=jobs,
         cache_budget_bytes=cache_bytes,
-        store=store,
         max_pending=max_pending,
-        rate_limit=rate_limit,
         **kwargs,
     )
     if block:

@@ -845,10 +845,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             jobs=jobs,
             cache_bytes=cache_bytes,
-            store=args.store,
             max_pending=args.max_pending,
-            rate_limit=args.rate_limit,
-            rate_burst=args.rate_burst,
             retention_seconds=args.job_ttl,
         )
     except KeyboardInterrupt:
@@ -1083,27 +1080,11 @@ def build_parser() -> argparse.ArgumentParser:
                                    "eviction, stale-salt records first; "
                                    "accepts suffixes (64M, 1G); default: "
                                    "unbounded")
-    serve_parser.add_argument("--store", choices=["local", "shared"],
-                              default="local",
-                              help="result-store backend: 'local' (one "
-                                   "server owns the cache directory) or "
-                                   "'shared' (N replicas on one "
-                                   "filesystem; cross-replica claims give "
-                                   "one simulation fleet-wide per key)")
     serve_parser.add_argument("--max-pending", type=int, default=64,
                               metavar="N",
                               help="cold jobs allowed to wait for a "
                                    "worker before submissions get 429 + "
                                    "Retry-After (default: 64)")
-    serve_parser.add_argument("--rate-limit", type=float, default=None,
-                              metavar="R",
-                              help="per-client submission rate limit in "
-                                   "requests/second (token bucket; "
-                                   "default: off)")
-    serve_parser.add_argument("--rate-burst", type=float, default=None,
-                              metavar="B",
-                              help="token-bucket burst size for "
-                                   "--rate-limit (default: R)")
     serve_parser.add_argument("--job-ttl", type=float, default=3600.0,
                               metavar="S",
                               help="seconds a finished job stays pollable "

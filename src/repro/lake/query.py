@@ -15,12 +15,12 @@ lake arithmetic, zero re-simulation.
 
 from __future__ import annotations
 
-import difflib
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.lake.store import RunLake
+from repro.runner.config import suggest
 
 #: Provenance columns shown before the metric columns.
 RUN_COLUMNS = (
@@ -51,11 +51,6 @@ class QueryFilters:
     salt: Optional[str] = None
     all_salts: bool = False
     metrics: Tuple[str, ...] = field(default=DEFAULT_METRICS)
-
-
-def _suggest(name: str, known: Sequence[str]) -> str:
-    matches = difflib.get_close_matches(str(name), list(known), n=1, cutoff=0.5)
-    return f" (did you mean {matches[0]!r}?)" if matches else ""
 
 
 def _open(lake: Union[RunLake, str, os.PathLike, None]) -> Tuple[RunLake, bool]:
@@ -95,7 +90,7 @@ def query_runs(
         for name in filters.metrics:
             if known and name not in known:
                 raise ValueError(
-                    f"unknown metric {name!r}{_suggest(name, known)}; "
+                    f"unknown metric {name!r}{suggest(name, known)}; "
                     f"known: {known}"
                 )
         where, params = _where_clause(filters)
@@ -153,7 +148,7 @@ def pivot(
     """
     if column not in PIVOT_COLUMNS:
         raise ValueError(
-            f"cannot pivot on {column!r}{_suggest(column, PIVOT_COLUMNS)}; "
+            f"cannot pivot on {column!r}{suggest(column, PIVOT_COLUMNS)}; "
             f"pivotable: {sorted(PIVOT_COLUMNS)}"
         )
     spread = sorted(

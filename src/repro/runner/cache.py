@@ -17,14 +17,11 @@ Hits also bump the record file's mtime, so mtime order is true LRU
 order and the byte-budget eviction policy (:mod:`repro.serve.eviction`)
 keeps hot records alive while old and stale-salt ones go first.
 
-Blob I/O is delegated to a pluggable *store*
-(:mod:`repro.serve.store`): the default
-:class:`~repro.serve.store.LocalDirStore` is the original one-server
-layout, while :class:`~repro.serve.store.SharedDirStore` makes the
-same directory safe for N server replicas (atomic publishes, eviction
-races tolerated, and cross-replica *claims* so identical cold requests
-cost one simulation fleet-wide). Keys and record bytes are identical
-regardless of the store.
+File I/O goes through :class:`~repro.serve.store.LocalDirStore`,
+which publishes each record through a per-thread temp file and an
+atomic ``os.replace``: a ``repro serve`` worker, an in-process sweep
+and a ``repro run`` in another process may store the same record at
+once, and a reader sees either no record or a complete one.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.runner.config import ExperimentConfig
 from repro.runner.record import RECORD_SCHEMA, RunRecord
@@ -121,33 +118,14 @@ class CacheEntry:
 class ResultCache:
     """JSON records keyed by :func:`cache_key`, one file per run."""
 
-    def __init__(
-        self,
-        directory: Optional[os.PathLike] = None,
-        store: Union[str, Any, None] = None,
-    ) -> None:
-        resolved = Path(
+    def __init__(self, directory: Optional[os.PathLike] = None) -> None:
+        from repro.serve.store import LocalDirStore
+
+        self._store = LocalDirStore(
             directory
             if directory is not None
             else os.environ.get(ENV_CACHE_DIR, DEFAULT_CACHE_DIR)
         )
-        from repro.serve.store import LocalDirStore, make_store
-
-        if store is None:
-            self._store = LocalDirStore(resolved)
-        elif isinstance(store, str):
-            self._store = make_store(store, resolved)
-        else:
-            self._store = store
-
-    @property
-    def blob_store(self):
-        """The blob store behind this cache (see :mod:`repro.serve.store`).
-
-        (Named ``blob_store`` because :meth:`store` — persist a record —
-        predates the seam.)
-        """
-        return self._store
 
     @property
     def directory(self) -> Path:
@@ -205,28 +183,6 @@ class ResultCache:
             data.encode("utf-8"),
         )
 
-    # -- cross-replica claims ----------------------------------------------
-
-    @property
-    def coordinates_writers(self) -> bool:
-        """True when the store arbitrates writers across replicas."""
-        return bool(self._store.coordinates_writers)
-
-    @property
-    def claim_ttl(self) -> Optional[float]:
-        """Seconds after which an unreleased claim counts as orphaned."""
-        return getattr(self._store, "claim_ttl", None)
-
-    def try_claim(self, config: ExperimentConfig) -> bool:
-        """Claim the right to simulate ``config`` (see the store docs)."""
-        return self._store.try_claim(self._name(config.exp_id, cache_key(config)))
-
-    def release_claim(self, config: ExperimentConfig) -> None:
-        self._store.release_claim(self._name(config.exp_id, cache_key(config)))
-
-    def claim_age(self, config: ExperimentConfig) -> Optional[float]:
-        return self._store.claim_age(self._name(config.exp_id, cache_key(config)))
-
     # -- listings ----------------------------------------------------------
 
     def entries(self) -> Iterator[Tuple[Path, RunRecord]]:
@@ -246,8 +202,8 @@ class ResultCache:
 
         Unlike :meth:`entries` this never skips a readable file:
         corrupt records appear with ``stale=True`` so the eviction
-        policy can reclaim their bytes. Files deleted concurrently (a
-        peer replica's eviction pass) are skipped.
+        policy can reclaim their bytes. Files deleted concurrently (an
+        eviction pass in another thread or process) are skipped.
         """
         out: List[CacheEntry] = []
         for blob in self._store.list_blobs():
@@ -285,7 +241,6 @@ class ResultCache:
         ages = [time.time() - entry.mtime for entry in entries]
         return {
             "directory": str(self.directory),
-            "store": getattr(self._store, "kind", "custom"),
             "records": len(entries),
             "bytes": sum(entry.bytes for entry in entries),
             "stale_records": sum(1 for entry in entries if entry.stale),

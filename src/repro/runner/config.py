@@ -41,9 +41,12 @@ MACHINE_FIELDS = tuple(
 )
 
 
-def suggest(name: str, known: Iterable[str]) -> str:
-    """A did-you-mean suffix for an unknown-key error, or ''."""
-    matches = difflib.get_close_matches(name, list(known), n=1, cutoff=0.5)
+def suggest(name: Any, known: Iterable[str]) -> str:
+    """A did-you-mean suffix for an unknown-key error, or ''.
+
+    ``name`` goes through ``str`` first: YAML keys can be ints.
+    """
+    matches = difflib.get_close_matches(str(name), list(known), n=1, cutoff=0.5)
     return f" (did you mean {matches[0]!r}?)" if matches else ""
 
 

@@ -2,15 +2,13 @@
 
 The simulator becomes a backend: clients ``POST`` experiment and sweep
 requests, get content-hash job IDs derived from the result cache's
-keys, and poll (or long-poll) for results. Identical uncached requests
-coalesce into one simulation per replica — and, on a shared store
-(:class:`~repro.serve.store.SharedDirStore`), one simulation
-*fleet-wide*; identical cached requests are answered from the
-content-addressed store in milliseconds; the store itself is bounded
-by a byte budget with stale-salt-first LRU eviction; admission control
-(a bounded queue plus per-client token buckets) answers overload with
-``429`` + ``Retry-After`` instead of falling over. See
-``docs/serve.md`` and :mod:`repro.serve.server`.
+keys, and poll (or long-poll) for results. It is a service for one
+host: identical uncached requests coalesce into one simulation;
+identical cached requests are answered from the content-addressed
+store in milliseconds; the store is safe under concurrent writers and
+bounded by a byte budget with stale-salt-first LRU eviction; a bounded
+queue answers overload with ``429`` + ``Retry-After`` instead of
+falling over. See ``docs/serve.md`` and :mod:`repro.serve.server`.
 
 >>> from repro import api
 >>> server = api.serve(port=0, block=False)   # ephemeral port, background
@@ -19,7 +17,7 @@ by a byte budget with stale-salt-first LRU eviction; admission control
 >>> server.stop()
 """
 
-from repro.serve.admission import AdmissionError, RateLimiter, TokenBucket
+from repro.serve.admission import AdmissionError
 from repro.serve.coalesce import CoalescingRegistry
 from repro.serve.eviction import EvictionReport, enforce_budget, parse_bytes
 from repro.serve.jobqueue import (
@@ -41,20 +39,13 @@ from repro.serve.schemas import (
     parse_sweep_request,
 )
 from repro.serve.server import ReproServer
-from repro.serve.store import (
-    STORE_KINDS,
-    BlobStat,
-    LocalDirStore,
-    SharedDirStore,
-    make_store,
-)
+from repro.serve.store import BlobStat, LocalDirStore
 
 __all__ = [
     "DONE",
     "FAILED",
     "PENDING",
     "RUNNING",
-    "STORE_KINDS",
     "AdmissionError",
     "BlobStat",
     "CoalescingRegistry",
@@ -63,16 +54,12 @@ __all__ = [
     "JobQueue",
     "LocalDirStore",
     "QueueShutdown",
-    "RateLimiter",
     "ReproServer",
     "RunRequest",
     "SchemaError",
-    "SharedDirStore",
     "SweepRequest",
-    "TokenBucket",
     "enforce_budget",
     "inprocess_run_executor",
-    "make_store",
     "parse_bytes",
     "parse_run_request",
     "parse_sweep_request",

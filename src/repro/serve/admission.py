@@ -1,28 +1,18 @@
 """Admission control for ``repro serve``: stay up by saying no early.
 
-Two independent gates protect the service under overload, both
-answering HTTP ``429`` with a ``Retry-After`` hint instead of letting
-work pile up until nothing finishes:
-
-* a **bounded job queue** — the :class:`~repro.serve.jobqueue.JobQueue`
-  refuses to enqueue a new *cold* job once ``max_pending`` jobs are
-  already waiting for a worker (warm and coalesced submissions are
-  never refused: they cost no simulation, so turning them away would
-  only hurt);
-* a **per-client token bucket** — each client address accrues
-  ``rate`` submissions per second up to a burst of ``burst``; a client
-  over its budget is refused before its body is even parsed.
-
-Both gates raise :class:`AdmissionError`, which the HTTP layer maps to
-``429`` plus a ``Retry-After`` header (seconds, rounded up).
+One gate protects the service under overload: the **bounded job
+queue**. The :class:`~repro.serve.jobqueue.JobQueue` refuses to enqueue
+a new *cold* job once ``max_pending`` jobs are already waiting for a
+worker (warm and coalesced submissions are never refused: they cost no
+simulation, so turning them away would only hurt). A refusal raises
+:class:`AdmissionError`, which the HTTP layer maps to ``429`` plus a
+``Retry-After`` header (seconds, rounded up) instead of letting work
+pile up until nothing finishes.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-import time
-from typing import Callable, Dict, Optional, Tuple
 
 
 class AdmissionError(Exception):
@@ -37,86 +27,3 @@ class AdmissionError(Exception):
     def retry_after_header(self) -> str:
         """The ``Retry-After`` header value (integer seconds)."""
         return str(int(math.ceil(self.retry_after)))
-
-
-class TokenBucket:
-    """One client's budget: ``rate`` tokens/second, ``burst`` capacity."""
-
-    __slots__ = ("rate", "burst", "tokens", "updated")
-
-    def __init__(self, rate: float, burst: float, now: float) -> None:
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self.tokens = float(burst)
-        self.updated = now
-
-    def try_take(self, now: float) -> Tuple[bool, float]:
-        """Spend one token; ``(allowed, seconds_until_next_token)``."""
-        elapsed = max(0.0, now - self.updated)
-        self.tokens = min(self.burst, self.tokens + elapsed * self.rate)
-        self.updated = now
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            return True, 0.0
-        return False, (1.0 - self.tokens) / self.rate
-
-    @property
-    def idle(self) -> bool:
-        """Fully refilled — the client has not submitted in a while."""
-        return self.tokens >= self.burst
-
-
-class RateLimiter:
-    """Per-client token buckets keyed on client address.
-
-    Thread-safe (one lock; bucket math is trivial). Buckets are pruned
-    once the table exceeds ``max_clients``: any fully-refilled (idle)
-    bucket carries no state worth keeping, so dropping it is lossless.
-    """
-
-    def __init__(
-        self,
-        rate: float,
-        burst: Optional[float] = None,
-        max_clients: int = 4096,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate limit must be positive, got {rate!r}")
-        self.rate = float(rate)
-        self.burst = max(1.0, float(burst if burst is not None else rate))
-        self.max_clients = max_clients
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._buckets: Dict[str, TokenBucket] = {}
-
-    def check(self, client: str) -> None:
-        """Admit one submission from ``client`` or raise AdmissionError."""
-        now = self._clock()
-        with self._lock:
-            bucket = self._buckets.get(client)
-            if bucket is None:
-                if len(self._buckets) >= self.max_clients:
-                    self._prune_locked()
-                bucket = TokenBucket(self.rate, self.burst, now)
-                self._buckets[client] = bucket
-            allowed, wait = bucket.try_take(now)
-        if not allowed:
-            raise AdmissionError(
-                f"client {client} over the submission rate limit "
-                f"({self.rate:g}/s, burst {self.burst:g})",
-                retry_after=wait,
-            )
-
-    def _prune_locked(self) -> None:
-        now = self._clock()
-        idle = [
-            client for client, b in self._buckets.items()
-            if b.tokens + max(0.0, now - b.updated) * b.rate >= b.burst
-        ]
-        for client in idle:
-            del self._buckets[client]
-
-    def clients(self) -> int:
-        with self._lock:
-            return len(self._buckets)

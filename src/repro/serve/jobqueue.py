@@ -7,8 +7,8 @@ at a time through an *executor* — by default the run executor ships
 the simulation to a spawned worker process running
 :func:`repro.runner.executor.run_group`, so the GIL-heavy simulation
 never stalls the HTTP threads — and writes the finished
-record back to the shared content-addressed cache, then enforces the
-cache byte budget (:mod:`repro.serve.eviction`).
+record back to the content-addressed cache, then enforces the cache
+byte budget (:mod:`repro.serve.eviction`).
 
 The three paths a submission can take:
 
@@ -22,13 +22,6 @@ The three paths a submission can take:
   Cold admission is bounded: once ``max_pending`` jobs are waiting,
   new cold jobs are refused with
   :class:`~repro.serve.admission.AdmissionError` (HTTP ``429``).
-
-When the cache sits on a store that *coordinates writers*
-(:class:`~repro.serve.store.SharedDirStore`, N server replicas on one
-filesystem), a cold job additionally claims its key fleet-wide before
-simulating: the claim loser waits for the winner's record to appear in
-the shared store instead of burning a duplicate simulation — the
-cross-replica analogue of in-process coalescing.
 
 Shutdown is a graceful drain (:meth:`JobQueue.stop`): submissions are
 refused with :class:`QueueShutdown` (HTTP ``503``), jobs still waiting
@@ -46,7 +39,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.runner.cache import ResultCache, cache_key
 from repro.runner.record import RunRecord
@@ -92,8 +85,8 @@ class Job:
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     #: False when the result came straight from the cache (warm path,
-    #: an all-warm sweep, or a peer replica's simulation); True when
-    #: this job ran a simulation.
+    #: an all-warm sweep, or a record stored while the job waited);
+    #: True when this job ran a simulation.
     simulated: Optional[bool] = None
     #: Extra submissions this job absorbed (see coalesce.py).
     coalesced: int = 0
@@ -228,7 +221,6 @@ class JobQueue:
         max_pending: Optional[int] = None,
         retention_seconds: Optional[float] = 3600.0,
         max_terminal: Optional[int] = 1024,
-        peer_poll_seconds: float = 0.2,
     ) -> None:
         self.workers = max(1, workers)
         self.cache = cache if cache is not None else ResultCache()
@@ -236,7 +228,6 @@ class JobQueue:
         self.run_executor = run_executor or subprocess_run_executor
         self.sweep_executor = sweep_executor or default_sweep_executor
         self.max_pending = max_pending
-        self.peer_poll_seconds = peer_poll_seconds
         self.registry = CoalescingRegistry(
             retention_seconds=retention_seconds, max_terminal=max_terminal
         )
@@ -432,64 +423,19 @@ class JobQueue:
         )
         config = resolve_config(request.exp_id, request.overrides or None)
 
-        # While this job sat in the queue a peer replica may have
-        # published the record; serve it instead of re-simulating.
+        # While this job sat in the queue a sweep point or a ``repro
+        # run`` may have stored the record; serve it instead of
+        # re-simulating.
         if not request.force:
             warm = self.cache.load_jsonable(config.exp_id, job.job_id)
             if warm is not None:
                 job.finish(warm, simulated=False)
                 return
 
-        if self.cache.coordinates_writers:
-            record, simulated = self._run_coordinated(config, request)
-        else:
-            record = self.run_executor(request)
-            self.cache.store(record)
-            simulated = True
-        if simulated:
-            self._enforce_budget()
-        job.finish(record.to_jsonable(), simulated=simulated)
-
-    def _run_coordinated(self, config, request: RunRequest):
-        """One simulation fleet-wide: claim the key in the shared
-        store, or wait for the claim holder's record."""
-        while True:
-            if self.cache.try_claim(config):
-                try:
-                    record = self.run_executor(request)
-                    self.cache.store(record)
-                finally:
-                    self.cache.release_claim(config)
-                return record, True
-            if request.force:
-                # force wants a *fresh* simulation from us; wait out the
-                # peer's claim rather than serving whatever it stores.
-                time.sleep(self.peer_poll_seconds)
-                continue
-            record = self._await_peer(config)
-            if record is not None:
-                return record, False
-            # The claim vanished (or went stale) without a record —
-            # the peer died; take over.
-
-    def _await_peer(self, config) -> Optional[RunRecord]:
-        """Poll the shared store while a peer's claim stands.
-
-        Returns the peer's record, or ``None`` when the claim is gone
-        (released or stale) and no record ever appeared.
-        """
-        ttl = self.cache.claim_ttl
-        while True:
-            record = self.cache.load(config)
-            if record is not None:
-                return record
-            age = self.cache.claim_age(config)
-            if age is None:
-                # Released: one last look, then report no-record.
-                return self.cache.load(config)
-            if ttl is not None and age > ttl:
-                return None  # orphaned claim; caller breaks it
-            time.sleep(self.peer_poll_seconds)
+        record = self.run_executor(request)
+        self.cache.store(record)
+        self._enforce_budget()
+        job.finish(record.to_jsonable(), simulated=True)
 
     def _execute_sweep(self, job: Job, request: Optional[SweepRequest]) -> None:
         if request is None:

@@ -6,7 +6,7 @@ validate, and consult the registry/cache — every simulation happens in
 the queue's workers (which themselves ship work to spawned processes),
 so the service stays responsive while experiments run.
 
-Endpoints (JSON unless noted)::
+Endpoints (all JSON)::
 
     POST /v1/runs             submit an experiment run   -> job envelope
     POST /v1/sweeps           submit a sensitivity sweep -> job envelope
@@ -17,7 +17,6 @@ Endpoints (JSON unless noted)::
     GET  /v1/experiments      list runnable experiments  -> {"experiments": [...]}
     GET  /v1/specs            list YAML experiment/sweep specs -> {"specs": [...]}
     GET  /healthz             liveness + queue/cache stats
-    GET  /status              human-readable HTML status page
 
 Submission responses carry the full job envelope immediately: a warm
 request (already cached) arrives with ``state: "done"``,
@@ -25,9 +24,8 @@ request (already cached) arrives with ``state: "done"``,
 for millisecond-latency polling loops. Status codes: ``200`` for
 finished jobs and reads, ``202`` for accepted-but-not-finished
 submissions, ``400`` for invalid bodies (message in ``{"error": ...}``),
-``404`` for unknown jobs/paths, ``429`` + ``Retry-After`` when
-admission control refuses (queue full, or a client over its rate
-limit), ``503`` while shutting down.
+``404`` for unknown jobs/paths, ``429`` + ``Retry-After`` when the
+cold-job queue is full, ``503`` while shutting down.
 
 Keep-alive discipline: the handler speaks HTTP/1.1 with persistent
 connections, so *every* request's body is consumed (or the connection
@@ -41,18 +39,17 @@ ACK.
 
 from __future__ import annotations
 
-import html
 import json
 import os
 import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.runner.cache import ResultCache
-from repro.serve.admission import AdmissionError, RateLimiter
+from repro.serve.admission import AdmissionError
 from repro.serve.jobqueue import DONE, JobQueue, QueueShutdown
 from repro.serve.schemas import (
     SchemaError,
@@ -95,22 +92,8 @@ class _Handler(BaseHTTPRequestHandler):
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self._send_body(status, body, "application/json", headers)
-
-    def _send_html(self, status: int, markup: str) -> None:
-        self._send_body(
-            status, markup.encode("utf-8"), "text/html; charset=utf-8"
-        )
-
-    def _send_body(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
@@ -191,9 +174,6 @@ class _Handler(BaseHTTPRequestHandler):
         if path == "/healthz":
             self._send_json(200, self.repro.health())
             return
-        if path == "/status":
-            self._send_html(200, self.repro.status_page())
-            return
         if path == "/v1/experiments":
             self._send_json(200, self.repro.experiments())
             return
@@ -236,7 +216,6 @@ class _Handler(BaseHTTPRequestHandler):
         self._body_consumed = False
         path = urlsplit(self.path).path.rstrip("/")
         try:
-            self.repro.admit(self.client_address[0])
             if path == "/v1/runs":
                 request = parse_run_request(self._read_json_body())
                 job = self.repro.queue.submit_run(request)
@@ -299,17 +278,14 @@ class ReproServer:
         jobs: int = 2,
         cache: Optional[ResultCache] = None,
         cache_budget_bytes: Optional[int] = None,
-        store: Union[str, Any, None] = None,
         run_executor=None,
         sweep_executor=None,
         max_pending: Optional[int] = 64,
-        rate_limit: Optional[float] = None,
-        rate_burst: Optional[float] = None,
         retention_seconds: Optional[float] = 3600.0,
         max_terminal_jobs: Optional[int] = 1024,
         quiet: bool = False,
     ) -> None:
-        self.cache = cache if cache is not None else ResultCache(store=store)
+        self.cache = cache if cache is not None else ResultCache()
         self.queue = JobQueue(
             workers=jobs,
             cache=self.cache,
@@ -319,11 +295,6 @@ class ReproServer:
             max_pending=max_pending,
             retention_seconds=retention_seconds,
             max_terminal=max_terminal_jobs,
-        )
-        self.limiter = (
-            RateLimiter(rate_limit, burst=rate_burst)
-            if rate_limit is not None
-            else None
         )
         self.quiet = quiet
         self.started_at = time.time()
@@ -342,13 +313,6 @@ class ReproServer:
     def url(self) -> str:
         host, port = self.address
         return f"http://{host}:{port}"
-
-    # -- admission ---------------------------------------------------------
-
-    def admit(self, client: str) -> None:
-        """Per-client rate limiting; raises AdmissionError over budget."""
-        if self.limiter is not None:
-            self.limiter.check(client)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -374,7 +338,6 @@ class ReproServer:
         self.log(
             f"repro serve listening on {self.url} "
             f"({self.queue.workers} workers, "
-            f"{getattr(self.cache.blob_store, 'kind', 'custom')} store, "
             f"cache {self.cache.directory}"
             + (
                 f", budget {self.queue.cache_budget_bytes} bytes"
@@ -418,11 +381,7 @@ class ReproServer:
             "started_at": self.started_at,
             "uptime_seconds": round(now - self.started_at, 3),
             "replica": {"pid": os.getpid(), "url": self.url},
-            "admission": {
-                "max_pending": self.queue.max_pending,
-                "rate_limit": self.limiter.rate if self.limiter else None,
-                "rate_burst": self.limiter.burst if self.limiter else None,
-            },
+            "admission": {"max_pending": self.queue.max_pending},
             "queue": self.queue.stats(),
             "cache": self.cache.stats(),
         }
@@ -457,80 +416,3 @@ class ReproServer:
         except SpecError as exc:
             return {"specs": [], "error": str(exc)}
         return {"specs": rows}
-
-    def status_page(self) -> str:
-        """``/status``: the health document and job table as HTML."""
-        health = self.health()
-        jobs = sorted(
-            (job.to_jsonable(include_result=False)
-             for job in self.queue.registry.jobs()),
-            key=lambda job: job["submitted_at"],
-            reverse=True,
-        )
-        e = html.escape
-
-        def fmt(value: Any, digits: int = 1) -> str:
-            if value is None:
-                return "–"
-            if isinstance(value, float):
-                return f"{value:.{digits}f}"
-            return str(value)
-
-        cards = [
-            ("uptime", f"{health['uptime_seconds']:.0f}s"),
-            ("replica pid", str(health["replica"]["pid"])),
-            ("workers", str(health["queue"]["workers"])),
-            ("queue depth", str(health["queue"]["depth"])),
-            ("jobs done", str(health["queue"]["jobs"]["done"])),
-            ("jobs failed", str(health["queue"]["jobs"]["failed"])),
-            ("coalesced", str(health["queue"]["coalesced"])),
-            ("pruned", str(health["queue"]["retention"]["pruned"])),
-            ("cache records", str(health["cache"]["records"])),
-            ("cache bytes", str(health["cache"]["bytes"])),
-            ("store", e(str(health["cache"]["store"]))),
-        ]
-        card_html = "".join(
-            f"<div class='card'><div class='v'>{value}</div>"
-            f"<div class='k'>{e(label)}</div></div>"
-            for label, value in cards
-        )
-        rows = "".join(
-            "<tr>"
-            f"<td><code>{e(job['job_id'][:16])}</code></td>"
-            f"<td>{e(job['kind'])}</td>"
-            f"<td class='s-{e(job['state'])}'>{e(job['state'])}</td>"
-            f"<td>{e(json.dumps(job['params'], sort_keys=True))[:120]}</td>"
-            f"<td>{fmt(job['elapsed_seconds'], 2)}</td>"
-            f"<td>{fmt(job['simulated'])}</td>"
-            f"<td>{fmt(job['coalesced'])}</td>"
-            f"<td>{e(job['error'][:80])}</td>"
-            "</tr>"
-            for job in jobs
-        )
-        return f"""<!DOCTYPE html>
-<html lang="en"><head><meta charset="utf-8">
-<meta http-equiv="refresh" content="5">
-<title>repro serve status</title>
-<style>
- body {{ font-family: system-ui, sans-serif; margin: 2rem; color: #222; }}
- .cards {{ display: flex; flex-wrap: wrap; gap: .6rem; }}
- .card {{ border: 1px solid #ddd; border-radius: .5rem;
-          padding: .6rem 1rem; min-width: 7rem; }}
- .card .v {{ font-size: 1.4rem; font-weight: 600; }}
- .card .k {{ color: #666; font-size: .8rem; }}
- table {{ border-collapse: collapse; margin-top: 1.2rem; width: 100%; }}
- th, td {{ border-bottom: 1px solid #eee; padding: .35rem .6rem;
-           text-align: left; font-size: .85rem; }}
- .s-done {{ color: #0a7d32; }} .s-failed {{ color: #b3261e; }}
- .s-running {{ color: #b26a00; }} .s-pending {{ color: #555; }}
-</style></head><body>
-<h1>repro serve <small>{e(health['version'])}</small></h1>
-<p>{e(self.url)} — status <b>{e(health['status'])}</b>,
-rendered from <code>/healthz</code> + <code>/v1/jobs</code>;
-refreshes every 5s.</p>
-<div class="cards">{card_html}</div>
-<table><thead><tr><th>job</th><th>kind</th><th>state</th><th>params</th>
-<th>elapsed (s)</th><th>simulated</th><th>coalesced</th><th>error</th>
-</tr></thead><tbody>{rows or
-    '<tr><td colspan="8">no jobs yet</td></tr>'}</tbody></table>
-</body></html>"""

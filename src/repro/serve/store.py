@@ -1,32 +1,24 @@
-"""Pluggable result stores: the filesystem seam under ``ResultCache``.
+"""The result store: the blob layer under ``ResultCache``.
 
 The content-addressed cache names every record by a pure function of
-its configuration, which makes records *location-independent*: any
-store that can hold named blobs can serve them. This module owns the
-blob layer:
+its configuration; this module owns the files those names point at.
+:class:`LocalDirStore` keeps one JSON file per record in one directory
+and is safe under concurrent writers on one host — ``repro serve``'s
+worker threads, an in-process sweep, and a ``repro run`` in another
+process may all store the same record at once:
 
-* :class:`LocalDirStore` — the original single-server layout, one JSON
-  file per record in one directory;
-* :class:`SharedDirStore` — the same layout hardened for N server
-  replicas sharing one filesystem (NFS, a bind-mounted volume, ...):
-  collision-free temp names feeding atomic ``os.replace`` publishes,
-  tolerance for files vanishing mid-scan (a peer's eviction pass), and
-  a *claim* protocol (``O_CREAT | O_EXCL`` lock files with a staleness
-  TTL) that lets replicas agree on a single simulator per cache key —
-  the cross-replica analogue of the in-process coalescing registry.
-
-Both stores produce byte-identical record files — the store choice
-never changes a cache key or a stored record.
+* every write goes to a temp file named for its process, thread and a
+  sequence number, then is published with an atomic ``os.replace``, so
+  two writers of one name never share a temp file and a reader sees
+  either no record or one complete record;
+* scans skip files that vanish mid-scan (a concurrent eviction pass).
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import os
-import socket
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Union
@@ -42,28 +34,20 @@ class BlobStat:
 
 
 class LocalDirStore:
-    """One directory of JSON blobs; the original cache layout.
-
-    Suitable when exactly one server process owns the directory. Writes
-    are atomic (temp file + ``os.replace``) so readers in *other*
-    processes — e.g. a concurrent ``repro run`` — never observe a torn
-    record, but there is no cross-writer coordination.
-    """
-
-    kind = "local"
-    #: Whether :meth:`try_claim` actually arbitrates between writers.
-    coordinates_writers = False
+    """One directory of JSON blobs, written atomically."""
 
     def __init__(self, directory: Union[str, os.PathLike]) -> None:
         self.directory = Path(directory)
-
-    # -- blob primitives ---------------------------------------------------
+        self._tmp_seq = itertools.count()
 
     def _path(self, name: str) -> Path:
         return self.directory / name
 
     def _tmp_path(self, name: str) -> Path:
-        return self.directory / f"{name}.tmp.{os.getpid()}"
+        return self.directory / (
+            f"{name}.tmp.{os.getpid()}.{threading.get_ident()}"
+            f".{next(self._tmp_seq)}"
+        )
 
     def read(self, name: str) -> Optional[bytes]:
         """The blob's bytes, or ``None`` if absent (or just evicted)."""
@@ -120,116 +104,3 @@ class LocalDirStore:
             out.append(BlobStat(path.name, stat.st_size, stat.st_mtime))
         out.sort(key=lambda blob: (blob.mtime, blob.name))
         return out
-
-    # -- claims ------------------------------------------------------------
-    #
-    # A claim says "I am about to compute this blob". The local store
-    # has exactly one writer process, whose in-process coalescing
-    # registry already guarantees one computation per key — so claims
-    # trivially succeed and cost nothing.
-
-    def try_claim(self, name: str) -> bool:
-        return True
-
-    def release_claim(self, name: str) -> None:
-        return None
-
-    def claim_age(self, name: str) -> Optional[float]:
-        """Seconds since the claim was taken, or ``None`` if unclaimed."""
-        return None
-
-
-class SharedDirStore(LocalDirStore):
-    """A directory shared by N server replicas on one filesystem.
-
-    Same blob layout (and therefore byte-identical records) as
-    :class:`LocalDirStore`, plus the coordination the multi-writer case
-    needs:
-
-    * temp names carry pid + thread id + a sequence number, so replicas
-      and worker threads never collide before their ``os.replace``;
-    * claims are real: ``<name>.lock`` files created with
-      ``O_CREAT | O_EXCL`` (atomic on POSIX filesystems, including NFS
-      for local-filesystem semantics), holding the claimant's pid/host;
-      a claim older than ``claim_ttl`` seconds is presumed orphaned by
-      a crashed replica and is broken by the next claimant.
-    """
-
-    kind = "shared"
-    coordinates_writers = True
-
-    def __init__(
-        self,
-        directory: Union[str, os.PathLike],
-        claim_ttl: float = 900.0,
-    ) -> None:
-        super().__init__(directory)
-        self.claim_ttl = float(claim_ttl)
-        self._tmp_seq = itertools.count()
-
-    def _tmp_path(self, name: str) -> Path:
-        return self.directory / (
-            f"{name}.tmp.{os.getpid()}.{threading.get_ident()}"
-            f".{next(self._tmp_seq)}"
-        )
-
-    def _claim_path(self, name: str) -> Path:
-        return self.directory / f"{name}.lock"
-
-    def try_claim(self, name: str) -> bool:
-        """Atomically claim ``name``; breaks stale claims first."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self._claim_path(name)
-        for _ in range(2):  # second pass only after breaking a stale claim
-            try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                age = self.claim_age(name)
-                if age is not None and age > self.claim_ttl:
-                    # The claimant is presumed dead; break its claim and
-                    # race the other survivors for a fresh one.
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-                    continue
-                return False
-            try:
-                os.write(fd, json.dumps({
-                    "pid": os.getpid(),
-                    "host": socket.gethostname(),
-                    "claimed_at": time.time(),
-                }).encode("utf-8"))
-            finally:
-                os.close(fd)
-            return True
-        return False
-
-    def release_claim(self, name: str) -> None:
-        try:
-            self._claim_path(name).unlink()
-        except OSError:
-            pass
-
-    def claim_age(self, name: str) -> Optional[float]:
-        try:
-            return max(0.0, time.time() - self._claim_path(name).stat().st_mtime)
-        except OSError:
-            return None
-
-
-#: ``--store`` choices for the CLI and :func:`make_store`.
-STORE_KINDS = ("local", "shared")
-
-
-def make_store(
-    kind: str, directory: Union[str, os.PathLike], **kwargs
-) -> LocalDirStore:
-    """Build a store by kind name (``"local"`` or ``"shared"``)."""
-    if kind == "local":
-        return LocalDirStore(directory)
-    if kind == "shared":
-        return SharedDirStore(directory, **kwargs)
-    raise ValueError(
-        f"unknown store kind {kind!r}; choose from {STORE_KINDS}"
-    )

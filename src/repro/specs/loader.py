@@ -52,12 +52,12 @@ an error, across directories the first hit wins.
 
 from __future__ import annotations
 
-import difflib
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.runner.config import suggest
 from repro.sweep.spec import CrossoverSpec, SweepSpec
 
 #: Environment override for the spec search path (one directory).
@@ -95,18 +95,13 @@ def _yaml():
     return yaml
 
 
-def _suggest(name: str, known: Sequence[str]) -> str:
-    matches = difflib.get_close_matches(str(name), list(known), n=1, cutoff=0.5)
-    return f" (did you mean {matches[0]!r}?)" if matches else ""
-
-
 def _reject_unknown_keys(
     doc: Mapping[str, Any], known: Sequence[str], where: str
 ) -> None:
     for key in doc:
         if key not in known:
             raise SpecError(
-                f"{where}: unknown key {key!r}{_suggest(key, known)}; "
+                f"{where}: unknown key {key!r}{suggest(key, known)}; "
                 f"known: {sorted(known)}"
             )
 
@@ -180,7 +175,7 @@ def _doc_kind(doc: Mapping[str, Any], where: str) -> str:
     kind = _require(doc, "kind", where)
     if kind not in KIND_DIRS:
         raise SpecError(
-            f"{where}: unknown kind {kind!r}{_suggest(kind, KIND_DIRS)}; "
+            f"{where}: unknown kind {kind!r}{suggest(kind, KIND_DIRS)}; "
             f"known: {sorted(KIND_DIRS)}"
         )
     return kind
@@ -192,7 +187,7 @@ def _known_experiment(exp_id: Any, where: str) -> str:
     if not isinstance(exp_id, str) or exp_id not in EXPERIMENTS:
         raise SpecError(
             f"{where}: unknown experiment {exp_id!r}"
-            f"{_suggest(exp_id, EXPERIMENTS)}; known: {sorted(EXPERIMENTS)}"
+            f"{suggest(exp_id, EXPERIMENTS)}; known: {sorted(EXPERIMENTS)}"
         )
     return exp_id
 
@@ -246,7 +241,7 @@ def _build_sweep(doc: Mapping[str, Any], where: str) -> SweepSpec:
             continue
         known = sorted(set(METRICS) | extra_names)
         raise SpecError(
-            f"{where}: unknown metric {name!r}{_suggest(name, known)}; "
+            f"{where}: unknown metric {name!r}{suggest(name, known)}; "
             f"known: {known}"
         )
 
@@ -486,7 +481,7 @@ def load_spec(ref: str) -> Union[SweepSpec, ExperimentSpecDoc]:
         return experiments[ref]
     known = sorted(set(sweeps) | set(experiments))
     raise SpecError(
-        f"unknown spec {ref!r}{_suggest(ref, known)}; available: {known}"
+        f"unknown spec {ref!r}{suggest(ref, known)}; available: {known}"
     )
 
 
@@ -522,7 +517,7 @@ def get_sweep(name: str) -> SweepSpec:
         return legacy[name]
     known = sorted(set(sweeps) | set(legacy))
     raise ValueError(
-        f"unknown sweep {name!r}{_suggest(name, known)}; available: "
+        f"unknown sweep {name!r}{suggest(name, known)}; available: "
         + ", ".join(known)
     )
 

@@ -14,8 +14,9 @@ metrics that need a quantity the summary does not carry raise
 
 from __future__ import annotations
 
-import difflib
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence
+
+from repro.runner.config import suggest
 
 MetricFn = Callable[[Mapping[str, Any]], float]
 
@@ -98,9 +99,9 @@ def resolve_metric(
     if name in METRICS:
         return METRICS[name]
     known = sorted(set(METRICS) | set(extra or ()))
-    matches = difflib.get_close_matches(name, known, n=1, cutoff=0.5)
-    hint = f" (did you mean {matches[0]!r}?)" if matches else ""
-    raise ValueError(f"unknown metric {name!r}{hint}; known: {known}")
+    raise ValueError(
+        f"unknown metric {name!r}{suggest(name, known)}; known: {known}"
+    )
 
 
 def derive_metrics(

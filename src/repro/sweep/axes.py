@@ -23,11 +23,10 @@ did-you-mean suggestion — a typo must not silently sweep nothing.
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import fields
 from typing import Any, Dict, List, Mapping, Tuple
 
-from repro.runner.config import MACHINE_FIELDS, ExperimentConfig
+from repro.runner.config import MACHINE_FIELDS, ExperimentConfig, suggest
 
 #: Alias -> canonical axis spelling.
 ALIASES = {
@@ -85,10 +84,9 @@ def axis_overrides(
     elif config.app is not None and name in {f.name for f in fields(config.app)}:
         return {"app": {name: value}}
     known = known_axes(config)
-    matches = difflib.get_close_matches(axis, known, n=1, cutoff=0.5)
-    hint = f" (did you mean {matches[0]!r}?)" if matches else ""
     raise ValueError(
-        f"unknown sweep axis {axis!r} for {config.exp_id}{hint}; "
+        f"unknown sweep axis {axis!r} for {config.exp_id}"
+        f"{suggest(axis, known)}; "
         f"known axes: {known}"
     )
 

@@ -1,4 +1,4 @@
-"""Admission control: token buckets, queue bounds, 429/503 over HTTP."""
+"""Admission control: the bounded queue, and 429/503 over HTTP."""
 
 import threading
 import time
@@ -6,72 +6,11 @@ import time
 import pytest
 
 from repro.runner.cache import ResultCache
-from repro.serve.admission import AdmissionError, RateLimiter, TokenBucket
+from repro.serve.admission import AdmissionError
 from repro.serve.jobqueue import DONE, JobQueue, QueueShutdown
 from repro.serve.schemas import RunRequest
 
 from tests.serve.test_jobqueue import CountingExecutor, make_record
-
-
-class FakeClock:
-    def __init__(self, now=0.0):
-        self.now = now
-
-    def __call__(self):
-        return self.now
-
-
-class TestTokenBucket:
-    def test_burst_then_refill(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=2.0, burst=3.0, now=clock())
-        takes = [bucket.try_take(clock())[0] for _ in range(4)]
-        assert takes == [True, True, True, False]
-        _, wait = bucket.try_take(clock())
-        assert wait == pytest.approx(0.5)  # one token at 2/s
-        clock.now += 0.5
-        assert bucket.try_take(clock())[0] is True
-
-    def test_tokens_cap_at_burst(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=10.0, burst=2.0, now=clock())
-        clock.now += 100.0
-        results = [bucket.try_take(clock())[0] for _ in range(3)]
-        assert results == [True, True, False]
-
-
-class TestRateLimiter:
-    def test_clients_are_independent(self):
-        clock = FakeClock()
-        limiter = RateLimiter(rate=1.0, burst=1.0, clock=clock)
-        limiter.check("10.0.0.1")
-        with pytest.raises(AdmissionError):
-            limiter.check("10.0.0.1")
-        limiter.check("10.0.0.2")  # a different client is unaffected
-
-    def test_retry_after_is_sane(self):
-        clock = FakeClock()
-        limiter = RateLimiter(rate=0.5, burst=1.0, clock=clock)
-        limiter.check("c")
-        with pytest.raises(AdmissionError) as excinfo:
-            limiter.check("c")
-        assert excinfo.value.retry_after >= 1.0
-        assert int(excinfo.value.retry_after_header) >= 1
-
-    def test_idle_buckets_are_pruned(self):
-        clock = FakeClock()
-        limiter = RateLimiter(
-            rate=1.0, burst=1.0, max_clients=4, clock=clock
-        )
-        for i in range(4):
-            limiter.check(f"client-{i}")
-        clock.now += 100.0  # everyone refills → prunable
-        limiter.check("client-new")
-        assert limiter.clients() <= 2
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            RateLimiter(rate=0)
 
 
 @pytest.fixture
@@ -186,51 +125,6 @@ class TestShutdownRefusal:
 
 
 class TestHttpAdmission:
-    def test_rate_limited_post_gets_429_with_retry_after(self, tmp_path):
-        import json
-        import urllib.error
-        import urllib.request
-
-        from repro import api
-        from repro.serve import inprocess_run_executor
-
-        server = api.serve(
-            port=0,
-            block=False,
-            jobs=1,
-            cache=ResultCache(tmp_path / "cache"),
-            run_executor=inprocess_run_executor,
-            rate_limit=0.001,  # one request, then a long refill
-            rate_burst=1.0,
-            quiet=True,
-        )
-        try:
-            body = json.dumps({"experiment": "validation"}).encode()
-
-            def submit():
-                request = urllib.request.Request(
-                    server.url + "/v1/runs", data=body,
-                    headers={"Content-Type": "application/json"},
-                )
-                return urllib.request.urlopen(request, timeout=10)
-
-            first = submit()
-            assert first.status in (200, 202)
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                submit()
-            assert excinfo.value.code == 429
-            assert int(excinfo.value.headers["Retry-After"]) >= 1
-            payload = json.loads(excinfo.value.read())
-            assert "rate limit" in payload["error"]
-            # Keep-alive connections stay usable after a 429: GETs are
-            # not rate limited.
-            with urllib.request.urlopen(
-                server.url + "/healthz", timeout=10
-            ) as response:
-                assert response.status == 200
-        finally:
-            server.stop()
-
     def test_full_queue_gets_429_over_http(self, tmp_path):
         import json
         import urllib.error
@@ -258,7 +152,7 @@ class TestHttpAdmission:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=10)
             assert excinfo.value.code == 429
-            assert "Retry-After" in excinfo.value.headers
+            assert int(excinfo.value.headers["Retry-After"]) >= 1
             assert "queue full" in json.loads(excinfo.value.read())["error"]
         finally:
             gate.set()

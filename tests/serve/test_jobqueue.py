@@ -489,82 +489,3 @@ class TestRegistryRetention:
             assert executor.calls == 1
         finally:
             queue.stop()
-
-
-class TestSharedStoreCoordination:
-    def test_two_queues_one_simulation_fleet_wide(self, tmp_path):
-        """Two 'replicas' (JobQueues) on one SharedDirStore: identical
-        concurrent cold submissions cost exactly one simulation, and
-        both serve the same record."""
-        from repro.serve.store import SharedDirStore
-
-        store_dir = tmp_path / "shared"
-        caches = [
-            ResultCache(store=SharedDirStore(store_dir)) for _ in range(2)
-        ]
-        executors = [CountingExecutor(), CountingExecutor()]
-        queues = [
-            JobQueue(workers=1, cache=cache, run_executor=executor,
-                     peer_poll_seconds=0.02)
-            for cache, executor in zip(caches, executors)
-        ]
-        for queue in queues:
-            queue.start()
-        try:
-            request = RunRequest(exp_id="validation")
-            barrier = threading.Barrier(2)
-            jobs = [None, None]
-
-            def submit(i):
-                barrier.wait()
-                jobs[i] = queues[i].submit_run(request)
-
-            threads = [
-                threading.Thread(target=submit, args=(i,)) for i in range(2)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(10)
-
-            for job in jobs:
-                assert job is not None and job.wait(15)
-                assert job.state == DONE, job.error
-            total_sims = executors[0].calls + executors[1].calls
-            assert total_sims == 1, (
-                f"expected one simulation fleet-wide, got {total_sims}"
-            )
-            assert sum(1 for job in jobs if job.simulated) == 1
-            # Bit-identical envelopes: the record is the record.
-            assert jobs[0].result == jobs[1].result
-            # No claim droppings left behind.
-            assert list(store_dir.glob("*.lock")) == []
-        finally:
-            for queue in queues:
-                queue.stop()
-
-    def test_peer_crash_claim_is_taken_over(self, tmp_path):
-        """A stale claim (crashed replica) must not wedge the job: the
-        survivor breaks it and simulates."""
-        from repro.runner.api import resolve_config
-        from repro.serve.store import SharedDirStore
-
-        cache = ResultCache(store=SharedDirStore(
-            tmp_path / "shared", claim_ttl=0.1,
-        ))
-        config = resolve_config("validation")
-        assert cache.try_claim(config)  # the "crashed" peer's claim
-        executor = CountingExecutor()
-        queue = JobQueue(
-            workers=1, cache=cache, run_executor=executor,
-            peer_poll_seconds=0.02,
-        )
-        queue.start()
-        try:
-            job = queue.submit_run(RunRequest(exp_id="validation"))
-            assert job.wait(15)
-            assert job.state == DONE, job.error
-            assert job.simulated is True
-            assert executor.calls == 1
-        finally:
-            queue.stop()

@@ -78,6 +78,14 @@ class TestHealthz:
         assert "bytes" in health["cache"]
         assert "records" in health["cache"]
 
+    def test_health_reports_admission_and_retention(self, server):
+        status, health = get(server, "/healthz")
+        assert status == 200
+        assert set(health["admission"]) == {"max_pending"}
+        assert "retention" in health["queue"]
+        assert health["queue"]["retention"]["max_terminal"] is not None
+        assert health["replica"]["pid"] > 0
+
     def test_experiments_listing(self, server):
         status, listing = get(server, "/v1/experiments")
         assert status == 200
@@ -424,26 +432,3 @@ class TestLongPoll:
         status, body = get(server, f"/v1/jobs/{job['job_id']}?wait=soon")
         assert status == 400
         assert "wait=" in body["error"]
-
-
-class TestStatusPage:
-    def test_status_page_renders(self, server):
-        post(server, "/v1/runs", {"experiment": "validation"})
-        import urllib.request
-
-        with urllib.request.urlopen(server.url + "/status", timeout=10) as r:
-            assert r.status == 200
-            assert "text/html" in r.headers["Content-Type"]
-            page = r.read().decode("utf-8")
-        assert "repro serve" in page
-        assert "cache records" in page
-        assert "validation" in page or "job" in page
-
-    def test_health_reports_admission_and_retention(self, server):
-        status, health = get(server, "/healthz")
-        assert status == 200
-        assert "max_pending" in health["admission"]
-        assert "retention" in health["queue"]
-        assert health["queue"]["retention"]["max_terminal"] is not None
-        assert health["cache"]["store"] == "local"
-        assert health["replica"]["pid"] > 0

@@ -1,20 +1,20 @@
-"""Result-store seam: layout parity, concurrency, claims, tolerance."""
+"""The result store: concurrent writers, eviction races, corrupt files.
+
+One store, :class:`LocalDirStore`, holds every record; these tests pin
+that it stays safe when threads write one record at once, race an
+eviction pass, or meet a file that is not a record.
+"""
 
 import json
+import sys
 import threading
 import time
-
-import pytest
 
 from repro.runner.api import resolve_config
 from repro.runner.cache import ResultCache, cache_key
 from repro.runner.record import RunRecord
 from repro.serve.eviction import enforce_budget
-from repro.serve.store import (
-    LocalDirStore,
-    SharedDirStore,
-    make_store,
-)
+from repro.serve.store import LocalDirStore
 
 
 def make_record(config, payload="x") -> RunRecord:
@@ -31,35 +31,9 @@ def make_record(config, payload="x") -> RunRecord:
     )
 
 
-class TestFactoryAndParity:
-    def test_make_store_kinds(self, tmp_path):
-        assert isinstance(make_store("local", tmp_path), LocalDirStore)
-        assert isinstance(make_store("shared", tmp_path), SharedDirStore)
-        with pytest.raises(ValueError, match="unknown store kind"):
-            make_store("s3", tmp_path)
-
-    def test_cache_accepts_store_kind_string(self, tmp_path):
-        cache = ResultCache(tmp_path / "c", store="shared")
-        assert cache.coordinates_writers is True
-        assert cache.blob_store.kind == "shared"
-
-    def test_stores_produce_byte_identical_records(self, tmp_path):
-        """The store choice changes no key and no record byte."""
-        config = resolve_config("validation")
-        record = make_record(config)
-        local = ResultCache(tmp_path / "local")
-        shared = ResultCache(tmp_path / "shared", store="shared")
-        path_a = local.store(record)
-        path_b = shared.store(record)
-        assert path_a.name == path_b.name  # same content-addressed name
-        assert path_a.read_bytes() == path_b.read_bytes()
-        for cache in (local, shared):
-            loaded = cache.load(config)
-            assert loaded is not None and loaded.cached is True
-            assert loaded.cache_key == record.cache_key
-
+class TestLocalDirStore:
     def test_read_missing_returns_none(self, tmp_path):
-        store = SharedDirStore(tmp_path)
+        store = LocalDirStore(tmp_path)
         assert store.read("nope.json") is None
         assert store.touch("nope.json") is False
         assert store.delete("nope.json") is False
@@ -68,18 +42,23 @@ class TestFactoryAndParity:
 class TestConcurrentWriters:
     def test_two_writers_never_tear_a_record(self, tmp_path):
         """N threads rewriting one name: readers only ever see valid
-        JSON equal to one complete write (atomic os.replace)."""
-        store = SharedDirStore(tmp_path)
+        JSON equal to one complete write (atomic os.replace), and no
+        writer fails: each thread publishes through its own temp file."""
+        store = LocalDirStore(tmp_path)
         payloads = [
             json.dumps({"writer": i, "fill": "z" * 2000}).encode("utf-8")
             for i in range(4)
         ]
         stop = threading.Event()
         torn = []
+        errors = []
 
         def writer(data):
-            while not stop.is_set():
-                store.write("contended.json", data)
+            try:
+                while not stop.is_set():
+                    store.write("contended.json", data)
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
 
         def reader():
             while not stop.is_set():
@@ -98,12 +77,19 @@ class TestConcurrentWriters:
 
         threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
         threads += [threading.Thread(target=reader) for _ in range(3)]
-        for t in threads:
-            t.start()
-        time.sleep(0.5)
-        stop.set()
-        for t in threads:
-            t.join(5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for t in threads:
+                t.start()
+            time.sleep(0.5)
+            stop.set()
+            for t in threads:
+                t.join(5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, f"a writer failed: {errors!r}"
         assert not torn, f"reader observed a torn record: {torn}"
         assert store.read("contended.json") in payloads
         # No temp droppings left behind.
@@ -112,7 +98,7 @@ class TestConcurrentWriters:
     def test_store_while_evict(self, tmp_path):
         """Writers racing an eviction pass: no exceptions, budget
         enforced, and listings never crash on vanishing files."""
-        cache = ResultCache(tmp_path, store="shared")
+        cache = ResultCache(tmp_path)
         configs = [
             resolve_config("validation", {"seed": seed})
             for seed in range(1, 7)
@@ -160,7 +146,7 @@ class TestConcurrentWriters:
         assert report.bytes_after <= 1
 
     def test_corrupt_file_tolerance(self, tmp_path):
-        cache = ResultCache(tmp_path, store="shared")
+        cache = ResultCache(tmp_path)
         config = resolve_config("validation")
         cache.store(make_record(config))
         (tmp_path / "garbage-0123456789abcdef.json").write_text("{not json")
@@ -175,58 +161,3 @@ class TestConcurrentWriters:
         report = enforce_budget(cache, budget_bytes=good_bytes)
         assert report.stale_evicted == 1
         assert cache.load(config) is not None
-
-
-class TestClaims:
-    def test_local_store_claims_are_trivial(self, tmp_path):
-        store = LocalDirStore(tmp_path)
-        assert store.coordinates_writers is False
-        assert store.try_claim("a.json") and store.try_claim("a.json")
-        assert store.claim_age("a.json") is None
-        store.release_claim("a.json")
-
-    def test_only_one_claimant_wins(self, tmp_path):
-        store = SharedDirStore(tmp_path)
-        wins = []
-        barrier = threading.Barrier(6)
-
-        def claimant():
-            barrier.wait()
-            if store.try_claim("key.json"):
-                wins.append(threading.get_ident())
-
-        threads = [threading.Thread(target=claimant) for _ in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(5)
-        assert len(wins) == 1
-        assert store.claim_age("key.json") is not None
-        store.release_claim("key.json")
-        assert store.claim_age("key.json") is None
-        assert store.try_claim("key.json")
-        store.release_claim("key.json")
-
-    def test_stale_claim_is_broken(self, tmp_path):
-        import os
-
-        store = SharedDirStore(tmp_path, claim_ttl=0.05)
-        assert store.try_claim("key.json")
-        # Simulate a crashed claimant: age the lock past the TTL.
-        lock = tmp_path / "key.json.lock"
-        old = time.time() - 10.0
-        os.utime(lock, (old, old))
-        assert store.try_claim("key.json"), "stale claim must be breakable"
-        store.release_claim("key.json")
-
-    def test_claims_via_cache_config_api(self, tmp_path):
-        cache = ResultCache(tmp_path, store="shared")
-        config = resolve_config("validation")
-        assert cache.try_claim(config)
-        assert not cache.try_claim(config)
-        assert cache.claim_age(config) is not None
-        assert cache.claim_ttl is not None
-        cache.release_claim(config)
-        assert cache.claim_age(config) is None
-        # Lock files never appear in record listings or byte totals.
-        assert cache.index() == []

@@ -50,6 +50,15 @@ def test_unknown_top_level_key_suggests(tmp_path):
         load_spec_file(path)
 
 
+def test_unknown_int_key_is_a_spec_error(tmp_path):
+    # YAML reads `1:` as an int key; the did-you-mean lookup must not
+    # raise TypeError on it.
+    doc = TINY_SWEEP.format(id="t").replace("metrics:", "1:")
+    path = _write(tmp_path, "t.yaml", doc)
+    with pytest.raises(SpecError, match="unknown key 1;"):
+        load_spec_file(path)
+
+
 def test_unknown_kind_rejected(tmp_path):
     path = _write(tmp_path, "t.yaml", "kind: sweeep\nid: t\n")
     with pytest.raises(SpecError, match="unknown kind 'sweeep'.*did you mean 'sweep'"):
