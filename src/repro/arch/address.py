@@ -8,7 +8,6 @@ arithmetic in one place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -26,42 +25,30 @@ class AddressRange:
     def end(self) -> int:
         return self.start + self.length
 
-    def blocks(self, block_bytes: int) -> Iterator[int]:
+    def blocks(self, block_bytes: int) -> range:
         """Block-aligned addresses of every cache block the range touches."""
         return block_span(self.start, self.length, block_bytes)
 
-    def pages(self, page_bytes: int) -> Iterator[int]:
+    def pages(self, page_bytes: int) -> range:
         """Page-aligned addresses of every page the range touches."""
         return page_span(self.start, self.length, page_bytes)
 
 
-def block_span(start: int, length: int, block_bytes: int) -> Iterator[int]:
-    """Yield block-aligned addresses covering ``[start, start+length)``."""
-    if length <= 0:
-        return
-    first = start - (start % block_bytes)
-    last = (start + length - 1) - ((start + length - 1) % block_bytes)
-    for addr in range(first, last + 1, block_bytes):
-        yield addr
+def block_span(start: int, length: int, block_bytes: int) -> range:
+    """Block-aligned addresses covering ``[start, start+length)``, ascending.
 
-
-def page_span(start: int, length: int, page_bytes: int) -> Iterator[int]:
-    """Yield page-aligned addresses covering ``[start, start+length)``."""
-    return block_span(start, length, page_bytes)
-
-
-def block_run(start: int, length: int, block_bytes: int) -> range:
-    """The addresses of :func:`block_span` as a C-level ``range``.
-
-    Same aligned addresses in the same order; the ``range`` form gives
-    the batched backend O(1) length and allocation-free iteration when
-    probing a whole run of blocks at once.
+    A C-level ``range``: O(1) length, allocation-free iteration.
     """
     if length <= 0:
         return range(0)
     first = start - (start % block_bytes)
     last = (start + length - 1) - ((start + length - 1) % block_bytes)
     return range(first, last + 1, block_bytes)
+
+
+def page_span(start: int, length: int, page_bytes: int) -> range:
+    """Page-aligned addresses covering ``[start, start+length)``, ascending."""
+    return block_span(start, length, page_bytes)
 
 
 def align_up(value: int, alignment: int) -> int:

@@ -31,6 +31,12 @@ class LineState(enum.Enum):
 
 _INVALID = LineState.INVALID
 
+#: Victim draws taken from the replacement stream at a time. On numpy's
+#: PCG64, ``integers(n, size=k)`` yields exactly the values of k scalar
+#: ``integers(n)`` calls, so chunking moves no victim; each cache owns its
+#: stream, so drawing ahead shifts nothing else.
+_VICTIM_CHUNK = 256
+
 
 class CacheError(RuntimeError):
     """Raised on inconsistent cache manipulation."""
@@ -60,6 +66,8 @@ class Cache:
         self.name = name
         self.num_sets = size_bytes // (assoc * block_bytes)
         self._rng = rng
+        # Victim indices drawn ahead, next one last (see insert).
+        self._victim_draws: List[int] = []
         # Per set: dict block_addr -> LineState (len <= assoc).
         self._sets: List[Dict[int, LineState]] = [{} for _ in range(self.num_sets)]
         # Flat mirror of every resident line (the hit fast path).
@@ -75,13 +83,12 @@ class Cache:
         # batched backend memoizes all-hit verdicts against this stamp.
         self.version = 0
 
-    def _set_index(self, block_addr: int) -> int:
-        return (block_addr // self.block_bytes) % self.num_sets
-
-    def _aligned(self, block_addr: int) -> int:
-        if block_addr % self.block_bytes != 0:
+    def _set_of(self, block_addr: int) -> Dict[int, LineState]:
+        """The set holding ``block_addr``, which must be block-aligned."""
+        block_bytes = self.block_bytes
+        if block_addr % block_bytes != 0:
             raise CacheError(f"unaligned block address {block_addr:#x}")
-        return block_addr
+        return self._sets[(block_addr // block_bytes) % self.num_sets]
 
     def lookup(self, block_addr: int) -> LineState:
         """State of the block, counting a hit or miss."""
@@ -98,7 +105,8 @@ class Cache:
 
     def peek(self, block_addr: int) -> LineState:
         """State of the block without touching hit/miss counters."""
-        self._aligned(block_addr)
+        if block_addr % self.block_bytes != 0:
+            raise CacheError(f"unaligned block address {block_addr:#x}")
         return self._lines.get(block_addr, _INVALID)
 
     def insert(
@@ -109,19 +117,25 @@ class Cache:
         Returns ``(victim_addr, victim_state)`` if a line was displaced,
         else None. The ``on_evict`` callback (if set) also fires.
         """
-        self._aligned(block_addr)
+        line_set = self._set_of(block_addr)
         if state is LineState.INVALID:
             raise CacheError("cannot insert an INVALID line")
         self.version += 1
-        line_set = self._sets[self._set_index(block_addr)]
         if block_addr in line_set:
             line_set[block_addr] = state
             self._lines[block_addr] = state
             return None
         victim: Optional[Tuple[int, LineState]] = None
         if len(line_set) >= self.assoc:
-            candidates = list(line_set.keys())
-            victim_addr = candidates[int(self._rng.integers(len(candidates)))]
+            # A full set holds exactly ``assoc`` lines, so the victim is
+            # candidates[integers(assoc)], one draw per eviction, served
+            # from a chunk (see _VICTIM_CHUNK).
+            draws = self._victim_draws
+            if not draws:
+                draws = self._rng.integers(self.assoc, size=_VICTIM_CHUNK).tolist()
+                draws.reverse()
+                self._victim_draws = draws
+            victim_addr = list(line_set)[draws.pop()]
             victim = (victim_addr, line_set.pop(victim_addr))
             del self._lines[victim_addr]
             self.evictions += 1
@@ -133,8 +147,7 @@ class Cache:
 
     def set_state(self, block_addr: int, state: LineState) -> None:
         """Change the state of a present line (e.g., SHARED -> EXCLUSIVE)."""
-        self._aligned(block_addr)
-        line_set = self._sets[self._set_index(block_addr)]
+        line_set = self._set_of(block_addr)
         if block_addr not in line_set:
             raise CacheError(f"block {block_addr:#x} not present in {self.name}")
         if state is LineState.INVALID:
@@ -145,44 +158,12 @@ class Cache:
 
     def invalidate(self, block_addr: int) -> LineState:
         """Remove a line; returns its prior state (INVALID if absent)."""
-        self._aligned(block_addr)
-        line_set = self._sets[self._set_index(block_addr)]
+        line_set = self._set_of(block_addr)
         prior = line_set.pop(block_addr, _INVALID)
         if prior is not _INVALID:
             self.version += 1
             del self._lines[block_addr]
         return prior
-
-    def run_states(self, blocks) -> Optional[List[LineState]]:
-        """Vectorized probe: states of a whole run of blocks, or None.
-
-        Returns the per-block states only if *every* block is resident;
-        a single absent block returns None immediately. No hit/miss
-        counters are touched — the batched backend probes first and, on
-        an all-hit run, commits ``hits += len(run)`` in one bump (the
-        exact count the scalar :meth:`lookup` loop would have produced).
-        """
-        get = self._lines.get
-        states: List[LineState] = []
-        append = states.append
-        for block in blocks:
-            state = get(block)
-            if state is None:
-                return None
-            append(state)
-        return states
-
-    def run_resident(self, blocks) -> bool:
-        """Vectorized probe: True if every block of the run is resident.
-
-        Counter-neutral, like :meth:`run_states`; the read-only variant
-        skips materializing the state list.
-        """
-        get = self._lines.get
-        for block in blocks:
-            if get(block) is None:
-                return False
-        return True
 
     def resident_blocks(self) -> int:
         """Total lines currently valid (for tests and sanity checks)."""

@@ -62,27 +62,6 @@ class Tlb:
         """Whether the page of ``addr`` is resident (no counter update)."""
         return self._page_of(addr) in self._fifo
 
-    def run_resident(self, addrs) -> bool:
-        """Vectorized probe: True if every addr's page is resident.
-
-        Counter-neutral: the batched backend probes a whole run first
-        and, when everything hits, commits ``hits += len(run)`` in one
-        bump — the exact count the scalar :meth:`access` loop would
-        have produced. Any miss returns False with nothing installed.
-        """
-        fifo = self._fifo
-        mask = self._page_mask
-        if mask is not None:
-            for addr in addrs:
-                if addr & mask not in fifo:
-                    return False
-        else:
-            page_bytes = self.page_bytes
-            for addr in addrs:
-                if addr - (addr % page_bytes) not in fifo:
-                    return False
-        return True
-
     def flush(self) -> None:
         """Drop all translations."""
         self.version += 1

@@ -12,11 +12,17 @@ to its "own" data are remote.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.arch.address import AddressRange, align_up
+
+
+#: Longest index list :meth:`Region.block_addrs_of_indices` resolves in
+#: Python rather than numpy (the measured break-even is near 40).
+SMALL_GATHER = 32
+_SMALL_TYPES = (list, tuple)
 
 
 class Segment(enum.Enum):
@@ -70,6 +76,9 @@ class Region:
         self.block_bytes = block_bytes
         self.itemsize = array.itemsize
         self.protocol = protocol
+        # Bounds of home_of_block: the first block and the end address.
+        self._first_block = base - (base % block_bytes)
+        self._end = base + array.size * array.itemsize
 
     @property
     def nbytes(self) -> int:
@@ -85,16 +94,27 @@ class Region:
             raise IndexError(f"{self.name}[{index}] out of range")
         return self.base + index * self.itemsize
 
+    def span_of(self, lo: int, hi: int) -> Tuple[int, int]:
+        """``(start, length)`` in bytes of flat elements ``[lo, hi)``."""
+        if lo < 0 or hi > self.flat.size or lo > hi:
+            raise IndexError(f"{self.name}[{lo}:{hi}] out of range")
+        return self.base + lo * self.itemsize, (hi - lo) * self.itemsize
+
     def range_of(self, lo: int = 0, hi: Optional[int] = None) -> AddressRange:
         """Byte range covering flat elements ``[lo, hi)``."""
-        if hi is None:
-            hi = self.np.size
-        if lo < 0 or hi > self.np.size or lo > hi:
-            raise IndexError(f"{self.name}[{lo}:{hi}] out of range")
-        return AddressRange(self.base + lo * self.itemsize, (hi - lo) * self.itemsize)
+        return AddressRange(*self.span_of(lo, self.flat.size if hi is None else hi))
 
     def block_addrs_of_indices(self, indices: Sequence[int]) -> np.ndarray:
         """Unique, sorted block addresses touched by the given elements."""
+        if type(indices) in _SMALL_TYPES and len(indices) <= SMALL_GATHER:
+            # A set and a sort beat numpy's per-call overhead on short
+            # lists; int() truncates as the int64 conversion below does.
+            base, itemsize, block_bytes = self.base, self.itemsize, self.block_bytes
+            blocks = set()
+            for index in indices:
+                addr = base + int(index) * itemsize
+                blocks.add(addr - addr % block_bytes)
+            return np.array(sorted(blocks), dtype=np.int64)
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
             return np.empty(0, dtype=np.int64)
@@ -104,9 +124,7 @@ class Region:
 
     def home_of_block(self, block_addr: int) -> int:
         """Home node of the block at ``block_addr``."""
-        if block_addr < self.base - (self.base % self.block_bytes) or (
-            block_addr >= self.end
-        ):
+        if block_addr < self._first_block or block_addr >= self._end:
             raise ValueError(f"block {block_addr:#x} not in region {self.name}")
         if self.policy is HomePolicy.LOCAL:
             return self.owner

@@ -28,6 +28,7 @@ from typing import Any, Callable, Generator, Optional, Sequence
 
 import numpy as np
 
+from repro.arch.address import block_span, page_span
 from repro.arch.cache import LineState
 from repro.memory.dataspace import Region
 from repro.mp.netiface import Packet
@@ -96,13 +97,13 @@ class MpContext:
         simulated block access, so attribute lookups are hoisted out of it.
         """
         common = self.params.common
-        addr_range = region.range_of(lo, hi)
+        start, length = region.span_of(lo, hi)
         stall = 0
         misses = 0
         tlb_access = self.tlb.access
         stats_count = self.stats.count
         tlb_miss_cycles = common.tlb_miss_cycles
-        for page in addr_range.pages(common.page_bytes):
+        for page in page_span(start, length, common.page_bytes):
             if not tlb_access(page):
                 stall += tlb_miss_cycles
                 stats_count("tlb_misses")
@@ -112,7 +113,7 @@ class MpContext:
         invalid = LineState.INVALID
         exclusive = LineState.EXCLUSIVE
         miss_cycles = common.local_miss_total_cycles
-        for block in addr_range.blocks(common.block_bytes):
+        for block in block_span(start, length, common.block_bytes):
             state = lookup(block)
             if state is invalid:
                 misses += 1

@@ -194,6 +194,9 @@ class BatchedContext:
     def __init__(self, *args: Any, compute: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self._compute = compute
+        # Probe constants, read once per context.
+        self._fast_page_bytes = self.params.common.page_bytes
+        self._fast_block_bytes = self.params.common.block_bytes
 
     def _fast_range(self, region: Region, start: int, stop: int, write: bool):
         """Attempt [start, stop) as one batched step.
@@ -202,24 +205,27 @@ class BatchedContext:
         ``False`` on a success that fixed up SHARED lines in place
         (committed, but the fixups bumped the cache version), or ``None``
         on failure with nothing committed — the caller then takes the
-        scalar path, which redoes the probes *with* counting. Success
-        requires that the reference path would have charged no cycles
-        and yielded no events: every page TLB-resident, every block
-        cache-resident, and — for writes to plain shared regions —
+        scalar path, which redoes the probes *with* counting (and raises
+        the proper IndexError for a reversed or out-of-bounds range).
+        Success requires that the reference path would have charged no
+        cycles and yielded no events: every page TLB-resident, every
+        block cache-resident, and — for writes to plain shared regions —
         already EXCLUSIVE (private and update-protocol writes may fix up
         SHARED lines in place, exactly as the scalar loop does).
         """
+        size = region.flat.size
         if stop <= start:
-            return (0, 0)  # touches no pages and no blocks on either path
-        if start < 0 or stop > region.flat.size:
-            return None  # reference path raises the proper IndexError
+            if start == stop and 0 <= start <= size:
+                return (0, 0)  # touches no pages and no blocks on either path
+            return None
+        if start < 0 or stop > size:
+            return None
         itemsize = region.itemsize
         base = region.base + start * itemsize
         last = region.base + stop * itemsize - 1
-        common = self.params.common
         tlb = self.tlb
         fifo = tlb._fifo
-        page_bytes = common.page_bytes
+        page_bytes = self._fast_page_bytes
         first_page = base - base % page_bytes
         last_page = last - last % page_bytes
         if first_page == last_page:
@@ -227,36 +233,42 @@ class BatchedContext:
                 return None
             npages = 1
         else:
-            npages = (last_page - first_page) // page_bytes + 1
-            for page in range(first_page, last_page + 1, page_bytes):
-                if page not in fifo:
-                    return None
-        block_bytes = common.block_bytes
+            pages = range(first_page, last_page + 1, page_bytes)
+            if not all(map(fifo.__contains__, pages)):
+                return None
+            npages = len(pages)
+        block_bytes = self._fast_block_bytes
         first_block = base - base % block_bytes
         last_block = last - last % block_bytes
-        nblocks = (last_block - first_block) // block_bytes + 1
         cache = self.cache
         get = cache._lines.get
         fixups = None
-        if write:
-            plain_shared = (
-                region.segment is Segment.SHARED and region.protocol != "update"
-            )
-            for block in range(first_block, last_block + 1, block_bytes):
-                state = get(block)
-                if state is None:
-                    return None
-                if state is not _EXCLUSIVE:
-                    if plain_shared:
-                        return None  # would take an upgrade transaction
-                    if fixups is None:
-                        fixups = [block]
-                    else:
-                        fixups.append(block)
+        if first_block == last_block:
+            nblocks = 1
+            state = get(first_block)
+            if state is None:
+                return None
+            if write and state is not _EXCLUSIVE:
+                if region.segment is Segment.SHARED and region.protocol != "update":
+                    return None  # would take an upgrade transaction
+                fixups = (first_block,)
         else:
-            for block in range(first_block, last_block + 1, block_bytes):
-                if get(block) is None:
+            blocks = range(first_block, last_block + 1, block_bytes)
+            nblocks = len(blocks)
+            if write:
+                states = list(map(get, blocks))
+                if None in states:
                     return None
+                if states.count(_EXCLUSIVE) != nblocks:
+                    if region.segment is Segment.SHARED and region.protocol != "update":
+                        return None  # would take an upgrade transaction
+                    fixups = [
+                        block
+                        for block, state in zip(blocks, states)
+                        if state is not _EXCLUSIVE
+                    ]
+            elif not all(map(get, blocks)):
+                return None
         tlb.hits += npages
         cache.hits += nblocks
         if fixups is not None:
@@ -266,13 +278,13 @@ class BatchedContext:
             return False
         return (npages, nblocks)
 
-    def _fast_blocks(self, region: Region, blocks, write: bool):
+    def _fast_blocks(self, region: Region, blocks: List[int], write: bool):
         """Gather/scatter twin of :meth:`_fast_range` over explicit blocks.
 
-        Returns the committed hit count ``n >= 0`` on a clean success,
-        ``-1`` on a success with fixups, ``None`` on failure. Mirrors the
-        scalar gather loops: the TLB is probed once per *block* (no page
-        dedup), then the line.
+        ``blocks`` is a list of Python ints. Returns the committed hit
+        count ``n >= 0`` on a clean success, ``-1`` on a success with
+        fixups, ``None`` on failure. Mirrors the scalar gather loops: the
+        TLB is probed once per *block* (no page dedup), then the line.
         """
         tlb = self.tlb
         fifo = tlb._fifo
@@ -285,7 +297,6 @@ class BatchedContext:
         n = 0
         fixups = None
         for block in blocks:
-            block = int(block)
             page = block & mask if mask is not None else block - (block % page_bytes)
             if page not in fifo:
                 return None
@@ -345,13 +356,13 @@ class BatchedContext:
         yield from super().write(region, start, stop, values=values)
 
     def read_gather(self, region: Region, indices: Sequence[int]) -> Generator:
-        blocks = region.block_addrs_of_indices(indices)
+        blocks = region.block_addrs_of_indices(indices).tolist()
         if self._fast_blocks(region, blocks, False) is not None:
             return region.flat[np.asarray(indices, dtype=np.int64)]
         return (yield from super().read_gather(region, indices))
 
     def write_scatter(self, region: Region, indices: Sequence[int], values) -> Generator:
-        blocks = region.block_addrs_of_indices(indices)
+        blocks = region.block_addrs_of_indices(indices).tolist()
         if self._fast_blocks(region, blocks, True) is not None:
             region.flat[np.asarray(indices, dtype=np.int64)] = values
             return
@@ -434,8 +445,9 @@ class BatchedContext:
                 region = op[1]
                 m = memos[i]
                 if m is None:
-                    idx = np.asarray(op[2], dtype=np.int64)
-                    blocks = region.block_addrs_of_indices(idx)
+                    indices = op[2]
+                    blocks = region.block_addrs_of_indices(indices).tolist()
+                    idx = np.asarray(indices, dtype=np.int64)
                     m = memos[i] = [-1, -1, 0, idx, blocks]
                 if m[0] == tlb.version and m[1] == cache.version:
                     tlb.hits += m[2]

@@ -326,8 +326,8 @@ class Engine:
     def consume_inline_delay(self, cycles: int) -> bool:
         """Advance time ``cycles`` inline for the currently-running action.
 
-        The batched backend's time-advance fast path: a positive
-        ``Delay`` normally suspends the process and re-enters the event
+        The time-advance fast path of the process layer and the batched
+        backend: a positive ``Delay`` normally suspends the process and re-enters the event
         loop via the heap. When the suspended continuation would be the
         *very next* event anyway — nothing due now, every heap entry
         strictly later than the resume time, no stop requested, and the

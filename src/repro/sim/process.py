@@ -17,8 +17,10 @@ continuation that is handed to the engine for every resume (no per-yield
 lambda), and ``Delay(0)`` / already-fired ``Wait`` commands are stepped
 inline — without a trip through the scheduler — whenever the engine can
 prove the continuation would have been the very next event anyway
-(:meth:`Engine.consume_inline_step`). Event wake-ups always go through
-the scheduler so a wake-up stays its own event, preserving deterministic
+(:meth:`Engine.consume_inline_step`). A positive ``Delay`` advances time
+inline under the same proof (:meth:`Engine.consume_inline_delay`, whose
+checks ``_step`` open-codes). Event wake-ups always go through the
+scheduler so a wake-up stays its own event, preserving deterministic
 ordering among processes released by the same firing.
 """
 
@@ -158,12 +160,28 @@ class Process:
                 # of Engine._schedule_step).
                 cycles = command.cycles
                 if cycles:
-                    if engine.consume_inline_delay(cycles):
-                        value = None
-                        continue
-                    heappush(
-                        engine._heap, (engine._now + cycles, engine._seq, cont)
-                    )
+                    # The checks of Engine.consume_inline_delay, open-coded:
+                    # resume inline when nothing else is due now, nothing on
+                    # the heap comes first, and no stop is requested. The
+                    # until/max_events budgets exist only outside the fast
+                    # loop; then the method decides.
+                    resume = engine._now + cycles
+                    heap = engine._heap
+                    if (
+                        not engine._due
+                        and (not heap or heap[0][0] > resume)
+                        and engine._running
+                        and not engine._stop_requested
+                    ):
+                        if engine._until is None and engine._max_events is None:
+                            engine._now = resume
+                            engine._inline += 1
+                            value = None
+                            continue
+                        if engine.consume_inline_delay(cycles):
+                            value = None
+                            continue
+                    heappush(heap, (resume, engine._seq, cont))
                     engine._seq += 1
                     return
                 if not engine._due and engine.consume_inline_step():

@@ -20,6 +20,7 @@ from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
 
+from repro.arch.address import block_span, page_span
 from repro.arch.cache import LineState
 from repro.memory.dataspace import HomePolicy, Region, Segment
 from repro.sim.batch import BatchScript, reject_unknown_kwargs, run_batch_reference
@@ -46,6 +47,22 @@ class SmContext:
         # Event names for the transaction hot path, built once.
         self._txn_name = f"p{pid}.txn"
         self._spin_name = f"p{pid}.spin"
+        # Constants of the miss path, read once per context.
+        common = self.params.common
+        sm = self.params.sm
+        self._page_bytes = common.page_bytes
+        self._block_bytes = common.block_bytes
+        self._tlb_miss_cycles = common.tlb_miss_cycles
+        self._tlb_miss_delay = delay_of(common.tlb_miss_cycles)
+        self._local_miss_cycles = common.local_miss_total_cycles
+        self._miss_delay = delay_of(sm.shared_miss_cycles)
+        self._fault_delay = delay_of(sm.write_fault_detect_cycles)
+        self._control_bytes = sm.control_only_bytes
+        self._block_control_bytes = sm.block_message_control_bytes
+        self._fetch_control_bytes = sm.control_only_bytes + 8
+        self._repl_private = sm.replacement_private_cycles
+        self._repl_clean = sm.replacement_shared_clean_cycles
+        self._repl_dirty = sm.replacement_shared_dirty_cycles
 
     @property
     def nprocs(self) -> int:
@@ -138,36 +155,36 @@ class SmContext:
     def read_gather(self, region: Region, indices: Sequence[int]) -> Generator:
         """Indexed read touching only the blocks under ``indices``."""
         yield from self._access_blocks(
-            region, region.block_addrs_of_indices(indices), write=False
+            region, region.block_addrs_of_indices(indices).tolist(), write=False
         )
         return region.np.reshape(-1)[np.asarray(indices, dtype=np.int64)]
 
     def write_scatter(self, region: Region, indices: Sequence[int], values) -> Generator:
         """Indexed write touching only the blocks under ``indices``."""
         yield from self._access_blocks(
-            region, region.block_addrs_of_indices(indices), write=True
+            region, region.block_addrs_of_indices(indices).tolist(), write=True
         )
         region.np.reshape(-1)[np.asarray(indices, dtype=np.int64)] = values
 
     def _access_range(self, region: Region, lo: int, hi: int, write: bool) -> Generator:
-        addr_range = region.range_of(lo, hi)
-        common = self.params.common
+        start, length = region.span_of(lo, hi)
         tlb_stall = 0
-        for page in addr_range.pages(common.page_bytes):
-            if not self.tlb.access(page):
-                tlb_stall += common.tlb_miss_cycles
+        tlb_access = self.tlb.access
+        for page in page_span(start, length, self._page_bytes):
+            if not tlb_access(page):
+                tlb_stall += self._tlb_miss_cycles
                 self.stats.count("tlb_misses")
         if tlb_stall:
             self.stats.charge(SmCat.TLB_MISS, tlb_stall)
             yield delay_of(tlb_stall)
         yield from self._access_blocks(
-            region, addr_range.blocks(common.block_bytes), write, tlb_done=True
+            region, block_span(start, length, self._block_bytes), write, tlb_done=True
         )
 
     def _access_blocks(
         self, region: Region, blocks, write: bool, tlb_done: bool = False
     ) -> Generator:
-        common = self.params.common
+        """Access each block of ``blocks`` (Python ints, ascending) in turn."""
         shared = region.segment is Segment.SHARED
         private_stall = 0
         private_misses = 0
@@ -178,15 +195,14 @@ class SmContext:
         set_state = self.cache.set_state
         invalid = LineState.INVALID
         exclusive = LineState.EXCLUSIVE
-        miss_cycles = common.local_miss_total_cycles
+        miss_cycles = self._local_miss_cycles
         target_state = exclusive if write else LineState.SHARED
         update_write = write and region.protocol == "update"
         for block in blocks:
-            block = int(block)
             if not tlb_done and not tlb_access(block):
                 self.stats.count("tlb_misses")
-                self.stats.charge(SmCat.TLB_MISS, common.tlb_miss_cycles)
-                yield delay_of(common.tlb_miss_cycles)
+                self.stats.charge(SmCat.TLB_MISS, self._tlb_miss_cycles)
+                yield self._tlb_miss_delay
             state = lookup(block)
             if not shared:
                 if state is invalid:
@@ -237,13 +253,12 @@ class SmContext:
         if victim is None:
             return 0
         victim_addr, victim_state = victim
-        sm = self.params.sm
         if not self.machine.is_shared_block(victim_addr):
-            return sm.replacement_private_cycles
+            return self._repl_private
         if victim_state is LineState.EXCLUSIVE:
             self.machine.evict_dirty_shared(self.pid, victim_addr)
-            return sm.replacement_shared_dirty_cycles
-        return sm.replacement_shared_clean_cycles
+            return self._repl_dirty
+        return self._repl_clean
 
     def _shared_transaction(
         self,
@@ -260,47 +275,45 @@ class SmContext:
         cycle charges and miss/fault counts — used by the relaxed
         store-buffer drain, whose commits do not stall the processor.
         """
-        sm = self.params.sm
         home = region.home_of_block(block)
         self.machine.block_home[block] = home
         engine = self.engine
         start = engine._now
         if upgrade:
             msg_type = MsgType.UPGRADE
-            yield delay_of(sm.write_fault_detect_cycles)
+            yield self._fault_delay
         else:
             msg_type = MsgType.GETX if write else MsgType.GETS
-            yield delay_of(sm.shared_miss_cycles)
+            yield self._miss_delay
         done = SimEvent(name=self._txn_name)
-        remote = home != self.pid
+        pid = self.pid
+        stats = self.stats
+        remote = home != pid
         if remote:
             # Network traffic only: messages to the local directory never
             # cross the network (the paper's byte counts are wire bytes).
-            self.stats.count("control_bytes", sm.control_only_bytes)
+            stats.count("control_bytes", self._control_bytes)
         self.machine.send_to_directory_from(
-            self.pid,
-            home,
-            Msg(msg_type, block, src=self.pid, requester=self.pid, done=done),
+            pid, home, Msg(msg_type, block, pid, pid, done)
         )
         info = yield Wait(done)
         # Reply traffic, attributed to this (initiating) processor.
         if remote:
             if info.with_data:
-                self.stats.count("data_bytes", 32)
-                self.stats.count("control_bytes", sm.block_message_control_bytes)
+                stats.count("data_bytes", 32)
+                stats.count("control_bytes", self._block_control_bytes)
             else:
-                self.stats.count("control_bytes", sm.control_only_bytes)
+                stats.count("control_bytes", self._control_bytes)
         if info.invalidations:
-            self.stats.count(
-                "control_bytes", 2 * sm.control_only_bytes * info.invalidations
+            stats.count(
+                "control_bytes", 2 * self._control_bytes * info.invalidations
             )
         if info.fetched:
-            self.stats.count("control_bytes", sm.control_only_bytes + 8)
-            self.stats.count("data_bytes", 32)
+            stats.count("control_bytes", self._fetch_control_bytes)
+            stats.count("data_bytes", 32)
         # Install / upgrade the line.
         repl = 0
-        present = self.cache.peek(block)
-        if upgrade and present is LineState.SHARED:
+        if upgrade and self.cache.peek(block) is LineState.SHARED:
             self.cache.set_state(block, LineState.EXCLUSIVE)
         else:
             repl = self._install(
@@ -312,12 +325,12 @@ class SmContext:
             return
         elapsed = engine._now - start
         if upgrade:
-            self.stats.count("write_faults")
-            self.stats.charge(SmCat.WRITE_FAULT, elapsed)
+            stats.count("write_faults")
+            stats.charge(SmCat.WRITE_FAULT, elapsed)
         else:
-            key = "shared_misses_local" if home == self.pid else "shared_misses_remote"
-            self.stats.count(key)
-            self.stats.charge(SmCat.SHARED_MISS, elapsed)
+            key = "shared_misses_local" if home == pid else "shared_misses_remote"
+            stats.count(key)
+            stats.charge(SmCat.SHARED_MISS, elapsed)
 
     # -- declared bulk runs --------------------------------------------------------
 

@@ -17,9 +17,13 @@ from typing import Deque, Generator, Tuple
 
 from repro.arch.cache import LineState
 from repro.check.errors import CheckError
-from repro.sim.events import Gate, SimEvent
+from repro.sim.events import SimEvent
 from repro.sim.process import Process, Wait, delay_of
 from repro.sm.protocol import Msg, MsgType
+
+_INV, _FETCH, _UPDATE_PUSH = MsgType.INV, MsgType.FETCH, MsgType.UPDATE_PUSH
+_ACK, _FETCH_REPLY = MsgType.ACK, MsgType.FETCH_REPLY
+_INVALID, _SHARED, _EXCLUSIVE = LineState.INVALID, LineState.SHARED, LineState.EXCLUSIVE
 
 
 class CacheCtrl:
@@ -31,109 +35,106 @@ class CacheCtrl:
         self.engine = machine.engine
         self.sm = machine.params.sm
         self._inbox: Deque[Tuple[int, Msg]] = deque()
-        self._gate = Gate(name=f"cc{node_id}.inbox")
+        # Re-armed wake event, as in Directory: fired while the loop is busy.
+        self._wake = SimEvent(name=f"cc{node_id}.wake")
         self.process = Process(self.engine, self._run(), name=f"cc{node_id}")
         self.invalidations_serviced = 0
         self.fetches_serviced = 0
 
     def post(self, msg: Msg) -> None:
         self._inbox.append((self.engine._now, msg))
-        self._gate.pulse()
+        wake = self._wake
+        if not wake.fired:
+            wake.fire(None)
 
     def _run(self) -> Generator:
-        wake_name = f"cc{self.node_id}.wake"
+        """Serve the inbox in arrival order, one generator frame for all.
+
+        An invalidation or fetch costs ``invalidate_cycles`` plus the
+        replacement cost of the line's prior state (nothing if it was
+        already evicted); a bulk update push, ``invalidate_cycles`` per
+        block written.
+        """
+        machine = self.machine
+        node = self.node_id
+        cache = machine.nodes[node].cache
+        stats = machine.nodes[node].stats
+        inbox = self._inbox
+        popleft = inbox.popleft
+        wake = self._wake
+        wait = Wait(wake)
+        sm = self.sm
+        invalidate_cycles = sm.invalidate_cycles
+        # Occupancy by the line's prior state.
+        evicted_delay = delay_of(invalidate_cycles)
+        clean_delay = delay_of(invalidate_cycles + sm.replacement_shared_clean_cycles)
+        dirty_delay = delay_of(invalidate_cycles + sm.replacement_shared_dirty_cycles)
         while True:
-            if not self._inbox:
-                wake = SimEvent(name=wake_name)
-                self._gate.park(lambda: wake.fired or wake.fire(None))
-                yield Wait(wake)
+            if not inbox:
+                wake.fired = False  # re-arm: this loop is its only waiter
+                yield wait
                 continue
-            _arrival, msg = self._inbox.popleft()
-            if msg.type is MsgType.INV:
-                yield from self._handle_inv(msg)
-            elif msg.type is MsgType.FETCH:
-                yield from self._handle_fetch(msg)
-            elif msg.type is MsgType.UPDATE_PUSH:
-                yield from self._handle_update_push(msg)
+            _arrival, msg = popleft()
+            kind = msg.type
+            block = msg.block
+            if kind is _INV:
+                prior = cache.invalidate(block)
+                if prior is _EXCLUSIVE:
+                    yield dirty_delay
+                elif prior is _SHARED:
+                    yield clean_delay
+                else:
+                    yield evicted_delay
+                self.invalidations_serviced += 1
+                stats.count("invalidations_received")
+                machine.pulse_inval_gate(node, block)
+                machine.send_to_directory(
+                    node, block, Msg(_ACK, block, node, msg.requester)
+                )
+            elif kind is _FETCH:
+                # Recall this node's dirty copy: drop it for a GETX
+                # (``msg.info`` true), downgrade it for a GETS. If the line
+                # was already evicted (its writeback raced the fetch),
+                # reply anyway: the data is at home by then.
+                if msg.info:
+                    prior = cache.invalidate(block)
+                    if prior is not _INVALID:
+                        machine.pulse_inval_gate(node, block)
+                else:
+                    prior = cache.peek(block)
+                    if prior is _EXCLUSIVE:
+                        cache.set_state(block, _SHARED)
+                if prior is _EXCLUSIVE:
+                    yield dirty_delay
+                elif prior is _SHARED:
+                    yield clean_delay
+                else:
+                    yield evicted_delay
+                self.fetches_serviced += 1
+                machine.send_to_directory(
+                    node, block, Msg(_FETCH_REPLY, block, node, msg.requester)
+                )
+            elif kind is _UPDATE_PUSH:
+                # Section 5.3.4 bulk update: consumer copies are refreshed
+                # in place rather than invalidated, so the next read of
+                # these blocks hits.
+                blocks = msg.info
+                yield delay_of(invalidate_cycles * len(blocks))
+                for pushed in blocks:
+                    if cache.peek(pushed) is _INVALID:
+                        victim = cache.insert(pushed, _SHARED)
+                        if (
+                            victim is not None
+                            and victim[1] is _EXCLUSIVE
+                            and machine.is_shared_block(victim[0])
+                        ):
+                            machine.evict_dirty_shared(node, victim[0])
+                stats.count("updates_received", len(blocks))
             else:
-                cache = self.machine.nodes[self.node_id].cache
                 raise CheckError(
                     "protocol",
                     f"cache controller cannot serve message {msg}",
-                    node=self.node_id,
-                    block=msg.block,
-                    state=cache.peek(msg.block).name,
+                    node=node,
+                    block=block,
+                    state=cache.peek(block).name,
                 )
-
-    def _replacement_cost(self, state: LineState) -> int:
-        if state is LineState.EXCLUSIVE:
-            return self.sm.replacement_shared_dirty_cycles
-        if state is LineState.SHARED:
-            return self.sm.replacement_shared_clean_cycles
-        return 0  # already evicted: nothing to replace
-
-    def _handle_inv(self, msg: Msg) -> Generator:
-        cache = self.machine.nodes[self.node_id].cache
-        prior = cache.invalidate(msg.block)
-        yield delay_of(self.sm.invalidate_cycles + self._replacement_cost(prior))
-        self.invalidations_serviced += 1
-        self.machine.nodes[self.node_id].stats.count("invalidations_received")
-        self.machine.pulse_inval_gate(self.node_id, msg.block)
-        self.machine.send_to_directory(
-            self.node_id,
-            msg.block,
-            Msg(MsgType.ACK, msg.block, src=self.node_id, requester=msg.requester),
-        )
-
-    def _handle_fetch(self, msg: Msg) -> Generator:
-        """Recall this node's dirty copy (downgrade on GETS, drop on GETX).
-
-        If the line was already evicted (its writeback raced the fetch),
-        reply anyway: the data is at home by then. ``msg.info`` is True
-        when the copy must be invalidated rather than downgraded.
-        """
-        cache = self.machine.nodes[self.node_id].cache
-        invalidate = bool(msg.info)
-        if invalidate:
-            prior = cache.invalidate(msg.block)
-            if prior is not LineState.INVALID:
-                self.machine.pulse_inval_gate(self.node_id, msg.block)
-        else:
-            prior = cache.peek(msg.block)
-            if prior is LineState.EXCLUSIVE:
-                cache.set_state(msg.block, LineState.SHARED)
-        yield delay_of(self.sm.invalidate_cycles + self._replacement_cost(prior))
-        self.fetches_serviced += 1
-        self.machine.send_to_directory(
-            self.node_id,
-            msg.block,
-            Msg(
-                MsgType.FETCH_REPLY,
-                msg.block,
-                src=self.node_id,
-                requester=msg.requester,
-            ),
-        )
-
-    def _handle_update_push(self, msg: Msg) -> Generator:
-        """Install pushed blocks in place (Section 5.3.4 bulk update).
-
-        Consumer copies are refreshed rather than invalidated; the next
-        read of these blocks hits. Occupancy: 3 cycles per block written
-        into the cache.
-        """
-        cache = self.machine.nodes[self.node_id].cache
-        blocks = msg.info
-        yield delay_of(self.sm.invalidate_cycles * len(blocks))
-        for block in blocks:
-            if cache.peek(block) is LineState.INVALID:
-                victim = cache.insert(block, LineState.SHARED)
-                if (
-                    victim is not None
-                    and victim[1] is LineState.EXCLUSIVE
-                    and self.machine.is_shared_block(victim[0])
-                ):
-                    self.machine.evict_dirty_shared(self.node_id, victim[0])
-        self.machine.nodes[self.node_id].stats.count(
-            "updates_received", len(blocks)
-        )

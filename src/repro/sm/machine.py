@@ -10,6 +10,7 @@ processor resolves the same shared structures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.arch.barrier import HardwareBarrier
@@ -121,6 +122,12 @@ class SmMachine:
             self.engine, self.nprocs, self.params.common.barrier_latency
         )
         self.created = SimEvent(name="parmacs.create")
+        #: ``latencies[src][dest]``: :meth:`latency` for every node pair,
+        #: read by the message hot path.
+        self.latencies = [
+            [self.latency(src, dest) for dest in range(self.nprocs)]
+            for src in range(self.nprocs)
+        ]
         self.nodes = [SmNode(self, pid) for pid in range(self.nprocs)]
         self.directories = [Directory(self, pid) for pid in range(self.nprocs)]
         self.cache_ctrls = [CacheCtrl(self, pid) for pid in range(self.nprocs)]
@@ -186,8 +193,9 @@ class SmMachine:
         # Bare continuation: in-flight messages are never cancelled, so
         # the handle-free scheduling path keeps the same (time, seq)
         # ordering without allocating a ScheduledAction.
-        directory = self.directories[home]
-        self.engine._schedule_step(self.latency(src, home), lambda: directory.post(msg))
+        self.engine._schedule_step(
+            self.latencies[src][home], partial(self.directories[home].post, msg)
+        )
 
     def send_to_directory(self, src: int, block: int, msg: Msg) -> None:
         """Cache controller -> the block's home directory (ACK/FETCH_REPLY)."""
@@ -196,8 +204,9 @@ class SmMachine:
 
     def send_to_cache_ctrl(self, src: int, dest: int, msg: Msg) -> None:
         """Directory -> a remote cache controller (INV/FETCH)."""
-        ctrl = self.cache_ctrls[dest]
-        self.engine._schedule_step(self.latency(src, dest), lambda: ctrl.post(msg))
+        self.engine._schedule_step(
+            self.latencies[src][dest], partial(self.cache_ctrls[dest].post, msg)
+        )
 
     def evict_dirty_shared(self, pid: int, block: int) -> None:
         """Dirty shared eviction: writeback traffic + logical downgrade."""

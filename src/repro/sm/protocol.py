@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Deque, FrozenSet, Iterator, Optional
+from typing import Any, Deque, FrozenSet, Iterator, Optional, Tuple
 
 from repro.sim.events import SimEvent
 
@@ -49,25 +49,58 @@ class MsgType(enum.Enum):
     UPDATE_PUSH = "update_push"  # bulk data push (user-level protocol)
 
 
-@dataclass
 class Msg:
-    """One protocol message in flight."""
+    """One protocol message in flight.
 
-    type: MsgType
-    block: int
-    src: int  # sending node
-    requester: int  # node whose transaction this belongs to
-    done: Optional[SimEvent] = None  # completion event (requests only)
-    info: Any = None
+    A slotted class rather than a dataclass: every coherence transaction
+    builds two to four of these, and the repr and equality are the ones
+    ``@dataclass`` would generate (error messages quote the repr).
+    """
+
+    __slots__ = ("type", "block", "src", "requester", "done", "info")
+
+    def __init__(
+        self,
+        type: MsgType,
+        block: int,
+        src: int,  # sending node
+        requester: int,  # node whose transaction this belongs to
+        done: Optional[SimEvent] = None,  # completion event (requests only)
+        info: Any = None,
+    ) -> None:
+        self.type = type
+        self.block = block
+        self.src = src
+        self.requester = requester
+        self.done = done
+        self.info = info
+
+    def _fields(self) -> Tuple[Any, ...]:
+        return (self.type, self.block, self.src, self.requester, self.done, self.info)
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(type={self.type!r}, "
+            f"block={self.block!r}, src={self.src!r}, "
+            f"requester={self.requester!r}, done={self.done!r}, info={self.info!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, as with @dataclass
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransactionInfo:
     """Completion payload: what the transaction cost on the wire.
 
     The requester uses this to attribute the transaction's secondary
     traffic (invalidations, acknowledgements, fetches) to itself, the
-    way the paper's per-processor byte counts do.
+    way the paper's per-processor byte counts do. Frozen, so the
+    directory shares one instance among every transaction of a kind.
     """
 
     with_data: bool  # did the reply carry a cache block?

@@ -70,14 +70,9 @@ class ProcStats:
             )
         self._context_stack.pop()
 
-    @contextmanager
-    def context(self, name: str) -> Iterator[None]:
+    def context(self, name: str) -> "_ContextScope":
         """``with stats.context("lib"):`` — safe across generator yields."""
-        self.push_context(name)
-        try:
-            yield
-        finally:
-            self.pop_context(expected=name)
+        return _ContextScope(self, name)
 
     @property
     def active_contexts(self) -> Iterable[str]:
@@ -160,6 +155,28 @@ class ProcStats:
     def total_cycles(self) -> int:
         """Sum over every category (the tables' Total row)."""
         return sum(self.cycles.values())
+
+
+class _ContextScope:
+    """The context manager of :meth:`ProcStats.context`.
+
+    A slotted class rather than ``@contextmanager``: MP library calls and
+    SM lock operations enter one per call. ``push_context`` and
+    ``pop_context`` are looked up on the stats object at entry and exit,
+    so per-instance rebinding (the tracer's) still sees every push/pop.
+    """
+
+    __slots__ = ("_stats", "_name")
+
+    def __init__(self, stats: ProcStats, name: str) -> None:
+        self._stats = stats
+        self._name = name
+
+    def __enter__(self) -> None:
+        self._stats.push_context(self._name)
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._stats.pop_context(expected=self._name)
 
 
 class StatsBoard:

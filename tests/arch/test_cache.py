@@ -136,3 +136,28 @@ def test_version_counts_state_changes_only():
     assert cache.version == v
     cache.flush()
     assert cache.version > v
+
+
+@pytest.mark.parametrize("assoc", [2, 4])
+def test_chunked_victim_draws_equal_scalar_draws(assoc):
+    """The cache draws replacement victims ahead, 256 at a time; on
+    numpy's PCG64 that gives exactly the victims of one scalar
+    ``integers(assoc)`` per eviction. 600 evictions cross two chunk
+    boundaries."""
+    seed = 29
+    cache = make_cache(size=assoc * 32, assoc=assoc, block=32, seed=seed)  # one set
+    rng = np.random.default_rng(seed)
+    resident = {}  # the set's lines, in the cache's candidate order
+    got, want = [], []
+    for i in range(600 + assoc):
+        block = i * 32
+        if len(resident) == assoc:
+            victim = list(resident)[int(rng.integers(assoc))]
+            del resident[victim]
+            want.append(victim)
+        resident[block] = None
+        evicted = cache.insert(block, LineState.SHARED)
+        if evicted is not None:
+            got.append(evicted[0])
+    assert cache.evictions == 600
+    assert got == want

@@ -109,3 +109,22 @@ def test_fill_value():
     space = make_space()
     region = space.alloc_private("p", owner=0, shape=4, fill=7.5)
     assert (region.np == 7.5).all()
+
+
+def test_block_addrs_of_short_lists_match_the_numpy_path():
+    """Short lists and tuples are resolved in Python; the result must be
+    the numpy path's (an int64 array of unique sorted blocks), whatever
+    the order, duplicates or length, up to past the cutoff."""
+    from repro.memory.dataspace import SMALL_GATHER
+
+    space = make_space(nodes=2, block=32)
+    region = space.alloc_shared("g", owner=0, shape=400, dtype=np.float64)
+    rng = np.random.default_rng(5)
+    for length in range(SMALL_GATHER + 9):
+        indices = [int(i) for i in rng.integers(0, 400, size=length)]
+        indices += indices[: length // 3]  # duplicates
+        for given in (indices, tuple(indices), indices[::-1]):
+            got = region.block_addrs_of_indices(given)
+            want = region.block_addrs_of_indices(np.array(given, dtype=np.int64))
+            assert got.dtype == want.dtype == np.int64
+            assert got.tolist() == want.tolist()

@@ -104,3 +104,55 @@ def test_unified_signature_rejects_legacy_kwargs():
             yield from ctx.compute(1)
 
         machine.run(program)
+
+
+@pytest.mark.parametrize("backend", ("batched", "reference"))
+@pytest.mark.parametrize("in_batch", (False, True), ids=("scalar", "batch"))
+@pytest.mark.parametrize("op", ("read", "write"))
+@pytest.mark.parametrize("span", ((5, 3), (-1, -1)), ids=("reversed", "negative"))
+def test_reversed_and_negative_empty_ranges_raise(backend, in_batch, op, span):
+    """Only an in-bounds empty range is a no-op: a reversed or negative
+    one raises the reference path's IndexError on both backends, as a
+    scalar op and inside a batch alike."""
+    start, stop = span
+    for machine, _cls, alloc in machines(backend=backend):
+        errors = []
+
+        def program(ctx):
+            if ctx.pid == 0:
+                buf = alloc(ctx, 8)
+                try:
+                    if in_batch:
+                        script = getattr(ctx.batch(), op)(buf, start, stop)
+                        yield from ctx.run_batch(script)
+                    else:
+                        yield from getattr(ctx, op)(buf, start, stop)
+                except IndexError as exc:
+                    errors.append(str(exc))
+            yield from ctx.compute(1)
+
+        machine.run(program)
+        name = type(machine).__name__
+        assert errors == [f"p0.buf[{start}:{stop}] out of range"], name
+
+
+def test_in_bounds_empty_ranges_touch_nothing():
+    for backend in ("batched", "reference"):
+        for machine, _cls, alloc in machines(backend=backend):
+
+            def program(ctx):
+                if ctx.pid == 0:
+                    buf = alloc(ctx, 8)
+                    for start in (0, 4, 8):
+                        got = yield from ctx.read(buf, start, start)
+                        assert got.size == 0
+                        yield from ctx.write(buf, start, start)
+                        got = yield from ctx.run_batch(
+                            ctx.batch().read(buf, start, start).write(buf, start, start)
+                        )
+                        assert got[0].size == 0
+                yield from ctx.compute(1)
+
+            machine.run(program)
+            tlb, cache = machine.nodes[0].tlb, machine.nodes[0].cache
+            assert (tlb.hits, tlb.misses, cache.hits, cache.misses) == (0, 0, 0, 0)

@@ -262,3 +262,81 @@ def test_flush_clears_its_bit_and_the_last_one_unowns(machine4, sent):
     entry = _serve(machine4, (MsgType.FLUSH, 2))
     assert entry.state is DirState.UNOWNED and entry.sharer_bits == 0
     assert entry.describe() == "UNOWNED"
+
+
+# -- controller wake-ups -------------------------------------------------------
+#
+# A coherence controller serves its inbox in one loop and, once the inbox
+# is empty, waits on one re-armed wake event. A post to an idle controller
+# queues exactly one wake in the engine's due lane however many messages
+# follow in the same cycle; a post to a busy controller queues none.
+
+
+def _idle(machine):
+    """Run until every process has started and the controllers idle."""
+    machine.engine.run()
+    assert not machine.engine._due
+
+
+def _in_order(done_log, name):
+    event = SimEvent()
+    event.add_callback(lambda _info: done_log.append(name))
+    return event
+
+
+def test_idle_directory_wakes_once_for_a_same_cycle_burst(machine2):
+    engine = machine2.engine
+    directory = machine2.directories[0]
+    _idle(machine2)
+    served = []
+    first = Msg(MsgType.GETS, 0, src=0, requester=0, done=_in_order(served, "first"))
+    second = Msg(MsgType.GETS, 32, src=0, requester=0, done=_in_order(served, "second"))
+    directory.post(first)
+    directory.post(second)
+    assert list(engine._due) == [directory.process._deliver]
+    engine.run()
+    assert directory.requests_served == 2
+    assert served == ["first", "second"]
+    # Idle again: the next post wakes the loop once more.
+    directory.post(Msg(MsgType.GETS, 64, src=1, requester=1, done=SimEvent()))
+    assert list(engine._due) == [directory.process._deliver]
+    engine.run()
+    assert directory.requests_served == 3
+
+
+def test_post_to_a_busy_directory_queues_no_wake(machine2):
+    engine = machine2.engine
+    directory = machine2.directories[0]
+    _idle(machine2)
+    served = []
+    directory.post(Msg(MsgType.GETS, 0, src=0, requester=0, done=_in_order(served, "first")))
+    engine.run(until=engine.now)  # the loop takes the message and starts its occupancy
+    assert directory.requests_served == 1 and not engine._due
+    directory.post(Msg(MsgType.GETS, 32, src=0, requester=0, done=_in_order(served, "second")))
+    assert not engine._due
+    engine.run()
+    assert directory.requests_served == 2
+    assert served == ["first", "second"]
+
+
+def test_cache_ctrl_wakes_once_and_never_while_busy(machine2, monkeypatch):
+    engine = machine2.engine
+    ctrl = machine2.cache_ctrls[1]
+    acks = []
+    monkeypatch.setattr(
+        machine2, "send_to_directory", lambda src, block, msg: acks.append(msg.block)
+    )
+    _idle(machine2)
+    ctrl.post(Msg(MsgType.INV, 0, src=0, requester=0))
+    ctrl.post(Msg(MsgType.INV, 32, src=0, requester=0))
+    assert list(engine._due) == [ctrl.process._deliver]
+    engine.run()
+    assert ctrl.invalidations_serviced == 2 and acks == [0, 32]
+
+    ctrl.post(Msg(MsgType.INV, 64, src=0, requester=0))
+    engine.run(until=engine.now)  # the INV's occupancy is under way
+    assert not engine._due
+    ctrl.post(Msg(MsgType.INV, 96, src=0, requester=0))
+    assert not engine._due
+    engine.run()
+    assert ctrl.invalidations_serviced == 4 and acks == [0, 32, 64, 96]
