@@ -33,8 +33,7 @@ need lives here, re-exported from the subsystems that implement it:
 
 Import from ``repro.api`` rather than the implementing modules:
 the facade is the surface the project promises to keep stable across
-internal refactors (the wrapper it replaced,
-``repro.core.experiments.run_experiment``, is deprecated).
+internal refactors.
 
 >>> from repro import api
 >>> pair = api.run_raw("gauss", overrides={"app": {"n": 64}})
@@ -255,14 +254,10 @@ def trace_for(
 
     spec = get_experiment(exp_id)
     config = resolve_config(exp_id, overrides)
-    tracer = trace.Tracer(procs=procs, max_events=max_events)
-    trace.install(tracer)
-    start = time.perf_counter()
-    try:
+    with trace.tracing(trace.Tracer(procs=procs, max_events=max_events)) as tracer:
+        start = time.perf_counter()
         result = spec.runner(config)
-    finally:
-        trace.uninstall()
-    elapsed = time.perf_counter() - start
+        elapsed = time.perf_counter() - start
     document = to_chrome(tracer, meta={"experiment": exp_id})
     return TraceResult(
         exp_id=exp_id,

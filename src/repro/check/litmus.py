@@ -75,6 +75,7 @@ import numpy as np
 from repro import check
 from repro.arch.params import MEMORY_MODELS, MachineParams
 from repro.check.errors import CheckError
+from repro.sim import installed
 from repro.sm.machine import SmMachine
 
 
@@ -272,7 +273,7 @@ def run_litmus(
 
     def observe(seed: int) -> bool:
         nonlocal relaxed_seen
-        if check_invariants and not check.active().enabled:
+        if check_invariants and installed(check.Checker) is None:
             with check.checking():
                 outcome = _run_once(
                     test, seed, backend=backend, consistency=consistency

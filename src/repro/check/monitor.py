@@ -1,12 +1,13 @@
 """The checker: opt-in runtime invariant monitors for both machines.
 
-Nothing here runs unless a checker is installed. Machines call
-``active().attach_sm(self)`` / ``attach_mp(self)`` at the end of their
-constructors; the default :data:`NULL` checker makes those calls no-ops.
-A real :class:`Checker` instruments the *instances* it is handed by
-rebinding bound methods (the same technique :mod:`repro.trace` uses),
-so unchecked machines — and the class-level hot paths — are untouched
-and golden cycle counts stay bit-identical with checking off.
+Nothing here runs unless a checker is installed (:func:`checking`,
+over the shared observer registry :func:`repro.sim.observing`).
+Machines hand themselves to every installed observer at the end of
+their constructors; a :class:`Checker` instruments the *instances* it
+is handed by rebinding bound methods (the same technique
+:mod:`repro.trace` uses), so unchecked machines — and the class-level
+hot paths — are untouched and golden cycle counts stay bit-identical
+with checking off.
 
 Checking is pure observation: no engine events are scheduled, no RNG
 streams are drawn, no simulated cycles are charged. A checked run is
@@ -73,15 +74,15 @@ Message-passing invariants
 from __future__ import annotations
 
 from collections import Counter, deque
-from contextlib import contextmanager
 from functools import partial
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, ContextManager, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.arch.cache import LineState
 from repro.check.errors import CheckError
 from repro.memory.dataspace import Segment
+from repro.sim import observing
 from repro.sim.batch import run_batch_reference
 from repro.sm.protocol import DirState
 
@@ -94,53 +95,9 @@ def _mismatch_mask(got: np.ndarray, expect: np.ndarray) -> np.ndarray:
     return neq
 
 
-class NullChecker:
-    """Module-level null object: every hook is a free no-op."""
-
-    __slots__ = ()
-    enabled = False
-
-    def attach_mp(self, machine: Any) -> None:
-        pass
-
-    def attach_sm(self, machine: Any) -> None:
-        pass
-
-
-NULL = NullChecker()
-
-_active: Any = NULL
-
-
-def active() -> Any:
-    """The currently installed checker (:data:`NULL` when checking is off)."""
-    return _active
-
-
-def install(checker: "Checker") -> "Checker":
-    """Make ``checker`` active; machines built from now on attach."""
-    global _active
-    if _active is not NULL:
-        raise RuntimeError("a checker is already installed; uninstall() it first")
-    _active = checker
-    return checker
-
-
-def uninstall() -> None:
-    """Deactivate checking; machines built afterwards are unchecked."""
-    global _active
-    _active = NULL
-
-
-@contextmanager
-def checking(checker: Optional["Checker"] = None) -> Iterator["Checker"]:
-    """``with checking() as c:`` — install for the block, always uninstall."""
-    checker = checker if checker is not None else Checker()
-    install(checker)
-    try:
-        yield checker
-    finally:
-        uninstall()
+def checking(checker: Optional["Checker"] = None) -> ContextManager["Checker"]:
+    """``with checking() as c:`` — check every machine built in the block."""
+    return observing(checker if checker is not None else Checker())
 
 
 class _SmState:
@@ -179,55 +136,42 @@ class Checker:
     """Monitors every machine built while installed.
 
     Args:
-        oracle: maintain the shadow-memory data-value oracle (on by
-            default; the dominant memory cost of checking — one flat
-            copy per shared region).
         strict_quiescence: fail if any packet is left in a queue at end
             of run (off by default: last-round flow-control messages
             legitimately go undrained in real programs).
     """
 
-    enabled = True
-
-    def __init__(self, oracle: bool = True, strict_quiescence: bool = False) -> None:
-        self.oracle = oracle
+    def __init__(self, strict_quiescence: bool = False) -> None:
         self.strict_quiescence = strict_quiescence
         #: Count of individual invariant checks performed, by name.
         self.checks: Counter = Counter()
         self._sm: List[_SmState] = []
         self._mp: List[_MpState] = []
 
-    # -- attach points (called by machine constructors) ---------------------
+    # -- attach point (called by every machine constructor) ----------------
 
-    def attach_sm(self, machine: Any) -> None:
-        """Instrument a freshly built shared-memory machine."""
-        st = _SmState(machine)
-        self._sm.append(st)
-        for node in machine.nodes:
-            self._instrument_sm_cache(st, node.pid, node.cache)
-        if st.relaxed:
-            # Coherence order is enforced on every commit even with the
-            # oracle off; the shadow update inside is oracle-gated.
+    def attach(self, machine: Any) -> None:
+        """Instrument a freshly built machine of either kind."""
+        if machine.kind == "mp":
+            st = _MpState(machine)
+            self._mp.append(st)
+            self._instrument_mp_network(st, machine)
+            verify = self.verify_mp_quiescent
+        else:
+            st = _SmState(machine)
+            self._sm.append(st)
+            for node in machine.nodes:
+                self._instrument_sm_cache(st, node.pid, node.cache)
             for ctx in machine.contexts:
-                self._instrument_sm_drain(st, ctx)
-        if self.oracle:
-            for ctx in machine.contexts:
+                if st.relaxed:
+                    self._instrument_sm_drain(st, ctx)
                 self._instrument_sm_context(st, ctx)
-        self._wrap_run(machine, lambda: self.verify_sm_quiescent(st))
-
-    def attach_mp(self, machine: Any) -> None:
-        """Instrument a freshly built message-passing machine."""
-        st = _MpState(machine)
-        self._mp.append(st)
-        self._instrument_mp_network(st, machine)
-        self._wrap_run(machine, lambda: self.verify_mp_quiescent(st))
-
-    def _wrap_run(self, machine: Any, verify) -> None:
+            verify = self.verify_sm_quiescent
         orig_run = machine.run
 
-        def run(*args: Any, **kwargs: Any) -> Any:
-            result = orig_run(*args, **kwargs)
-            verify()
+        def run(*args: Any) -> Any:
+            result = orig_run(*args)
+            verify(st)
             return result
 
         machine.run = run
@@ -404,11 +348,11 @@ class Checker:
         # mid-operation, so a shadow first materialized afterwards would
         # capture post-op values and mislabel the op's own effect.
 
-        def read(region, start=0, stop=None, **kwargs):
+        def read(region, start=0, stop=None):
             tracked = checker._oracle_region(region)
             if tracked:
                 checker._shadow(st, region)
-            values = yield from orig_read(region, start, stop, **kwargs)
+            values = yield from orig_read(region, start, stop)
             if tracked:
                 checker._check_loaded(
                     st, pid, region, start, values, store_buffer=store_buffer
@@ -427,13 +371,11 @@ class Checker:
                 )
             return values
 
-        def write(region, start=0, stop=None, values=None, **kwargs):
+        def write(region, start=0, stop=None, values=None):
             tracked = checker._oracle_region(region)
             if tracked:
                 checker._shadow(st, region)
-            result = yield from orig_write(
-                region, start, stop, values=values, **kwargs
-            )
+            result = yield from orig_write(region, start, stop, values=values)
             if tracked and store_buffer is None:
                 end = start + np.asarray(values).size if values is not None else stop
                 shadow = checker._shadow(st, region)
@@ -498,8 +440,8 @@ class Checker:
         Two duties: (a) *coherence order* — no entry may commit while an
         older pending store to an overlapping location exists (per-location
         program order; this is what keeps CoWW intact under both TSO and
-        PC); (b) with the oracle on, advance the shadow with the committed
-        values, since the write() wrapper deliberately did not.
+        PC); (b) advance the shadow with the committed values, since the
+        write() wrapper deliberately did not.
         """
         checker = self
         drain = ctx.drain
@@ -517,11 +459,7 @@ class Checker:
                     node=ctx.pid,
                 )
             orig_commit(entry)
-            if (
-                checker.oracle
-                and entry.values is not None
-                and checker._oracle_region(entry.region)
-            ):
+            if entry.values is not None and checker._oracle_region(entry.region):
                 shadow = checker._shadow(st, entry.region)
                 if entry.indices is None:
                     shadow[entry.start : entry.start + entry.values.size] = (
@@ -612,23 +550,22 @@ class Checker:
                         block=block,
                         state=describe,
                     )
-        if self.oracle:
-            for name, shadow in st.shadow.items():
-                region = machine.space.regions.get(name)
-                if region is None:
-                    continue
-                self.checks["oracle-final"] += 1
-                memory = region.np.reshape(-1)
-                bad = np.flatnonzero(_mismatch_mask(memory, shadow))
-                if bad.size:
-                    i = int(bad[0])
-                    raise CheckError(
-                        "data-value",
-                        f"final memory of {name!r} diverged from the oracle "
-                        f"at element {i}: memory {memory[i]!r} vs oracle "
-                        f"{shadow[i]!r} (a store bypassed the protocol)",
-                        block=region.addr_of(i),
-                    )
+        for name, shadow in st.shadow.items():
+            region = machine.space.regions.get(name)
+            if region is None:
+                continue
+            self.checks["oracle-final"] += 1
+            memory = region.np.reshape(-1)
+            bad = np.flatnonzero(_mismatch_mask(memory, shadow))
+            if bad.size:
+                i = int(bad[0])
+                raise CheckError(
+                    "data-value",
+                    f"final memory of {name!r} diverged from the oracle "
+                    f"at element {i}: memory {memory[i]!r} vs oracle "
+                    f"{shadow[i]!r} (a store bypassed the protocol)",
+                    block=region.addr_of(i),
+                )
 
     # -- message-passing: FIFO + conservation --------------------------------
 

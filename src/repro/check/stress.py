@@ -36,6 +36,7 @@ from repro import check
 from repro.arch.params import MachineParams
 from repro.check.errors import CheckError
 from repro.mp.machine import MpMachine
+from repro.sim import installed
 from repro.sm.machine import SmMachine
 
 #: Elements in the shared stress region (24 blocks at 4 doubles/block —
@@ -130,13 +131,13 @@ def run_sm_stress(
     exclusion survives relaxation by construction.
     """
     schedule = _sm_schedule(ops, seed, nprocs)
-    if checker is None and not check.active().enabled:
+    checker = checker if checker is not None else installed(check.Checker)
+    if checker is None:
         with check.checking() as checker:
             return _run_sm_stress(
                 schedule, seed, nprocs, checker, backend, consistency
             )
-    active = checker if checker is not None else check.active()
-    return _run_sm_stress(schedule, seed, nprocs, active, backend, consistency)
+    return _run_sm_stress(schedule, seed, nprocs, checker, backend, consistency)
 
 
 def _run_sm_stress(
@@ -169,7 +170,7 @@ def _run_sm_stress(
             f"value {final} (lost updates)",
             block=counter.base,
         )
-    report = dict(checker.report()) if checker.enabled else {}
+    report = dict(checker.report())
     report["increments"] = increments
     report["sm_ops"] = sum(len(s) for s in schedule)
     return report
@@ -274,11 +275,11 @@ def run_mp_stress(
     for src, sends in enumerate(schedule):
         for dest, _tag, _seq, _gap in sends:
             expected[dest] += 1
-    if checker is None and not check.active().enabled:
+    checker = checker if checker is not None else installed(check.Checker)
+    if checker is None:
         with check.checking(check.Checker(strict_quiescence=True)) as checker:
             return _run_mp_stress(schedule, expected, seed, nprocs, checker, backend)
-    active = checker if checker is not None else check.active()
-    return _run_mp_stress(schedule, expected, seed, nprocs, active, backend)
+    return _run_mp_stress(schedule, expected, seed, nprocs, checker, backend)
 
 
 def _run_mp_stress(
@@ -298,6 +299,6 @@ def _run_mp_stress(
             f"programs sent {sent} sequenced messages but handlers "
             f"ran {delivered} times",
         )
-    report = dict(checker.report()) if checker.enabled else {}
+    report = dict(checker.report())
     report["mp_messages"] = sent
     return report

@@ -10,9 +10,7 @@ their results content-addressed on disk.
 
 The stable programmatic surface is :mod:`repro.api`
 (``run_raw``/``record_for``/``execute``/``sweep``);
-:func:`run_experiment` remains one release as a deprecated wrapper
-over ``run_raw``. ``python -m repro run`` goes through the full
-harness.
+``python -m repro run`` goes through the full harness.
 
 Loading the registry loads no simulator: each runner imports its app
 programs and machines when it first runs, so listing experiments,
@@ -29,7 +27,6 @@ scaled with the working sets so that capacity effects (EM3D Tables
 from __future__ import annotations
 
 import gc
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
@@ -80,45 +77,6 @@ def get_experiment(exp_id: str) -> ExperimentSpec:
         raise KeyError(
             f"unknown experiment {exp_id!r}; known: {sorted(EXPERIMENTS)}"
         ) from None
-
-
-def run_experiment(exp_id: str, overrides: Dict[str, Any] = None) -> Any:
-    """Deprecated: use :func:`repro.api.run_raw`.
-
-    Thin compatibility wrapper kept one release for old scripts;
-    :mod:`repro.api` is the stable surface
-    (``run_raw("gauss", overrides={"app": {"n": 64}})`` is the direct
-    equivalent).
-    """
-    from repro.runner.api import run_raw
-
-    warnings.warn(
-        "repro.core.experiments.run_experiment() is deprecated; use "
-        "repro.api.run_raw() (same semantics) or repro.api.record_for() "
-        "for cached, serializable records",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_raw(exp_id, overrides)
-
-
-def clear_cache() -> None:
-    """Deprecated: use :func:`repro.runner.api.clear_memory_cache`.
-
-    The in-process memo moved into the runner harness; the persistent
-    result store is :class:`repro.runner.cache.ResultCache`
-    (``python -m repro cache {ls,clear}``).
-    """
-    from repro.runner.api import clear_memory_cache
-
-    warnings.warn(
-        "repro.core.experiments.clear_cache() is deprecated; use "
-        "repro.runner.api.clear_memory_cache() (in-process memo) or "
-        "repro.runner.cache.ResultCache.clear() (on-disk records)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    clear_memory_cache()
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from repro.arch.address import block_span, page_span
 from repro.arch.cache import LineState
 from repro.memory.dataspace import Region
 from repro.mp.netiface import Packet
-from repro.sim.batch import BatchScript, reject_unknown_kwargs, run_batch_reference
+from repro.sim.batch import BatchScript, run_batch_reference
 from repro.sim.events import SimEvent
 from repro.sim.process import Wait, delay_of
 from repro.stats.categories import MpCat
@@ -128,11 +128,9 @@ class MpContext:
         return stall
 
     def read(
-        self, region: Region, start: int = 0, stop: Optional[int] = None, **kwargs
+        self, region: Region, start: int = 0, stop: Optional[int] = None
     ) -> Generator:
         """Read elements [start, stop); returns the numpy view after miss stalls."""
-        if kwargs:
-            reject_unknown_kwargs("read", kwargs, ("start", "stop"))
         if stop is None:
             stop = region.np.size
         stall = self._touch_range(region, start, stop, write=False)
@@ -148,11 +146,8 @@ class MpContext:
         stop: Optional[int] = None,
         *,
         values: Optional[Sequence] = None,
-        **kwargs,
     ) -> Generator:
         """Write elements [start, stop) (``stop`` inferred from ``values``)."""
-        if kwargs:
-            reject_unknown_kwargs("write", kwargs, ("start", "stop", "values"))
         flat = region.np.reshape(-1)
         if values is not None:
             values = np.asarray(values)

@@ -22,12 +22,12 @@ from repro.mp.batched import BatchedMpContext
 from repro.mp.cmmd import CmmdLib
 from repro.mp.collectives import CollectiveGroup
 from repro.mp.netiface import NetworkInterface, Packet
+from repro.sim import attach_observers
 from repro.sim.engine import Engine
-from repro.sim.process import Process
+from repro.sim.process import DeadlockError, Process
 from repro.sim.rng import RngStreams
 from repro.stats.categories import MpCat
 from repro.stats.collector import ProcStats, StatsBoard
-from repro import check, trace
 
 #: Attribution remaps: in library code, computation is Lib Comp and
 #: local misses are Lib Misses (the paper's MP communication breakdown).
@@ -37,10 +37,6 @@ MP_REMAPS = {
         MpCat.LOCAL_MISS: MpCat.LIB_MISS,
     }
 }
-
-
-class DeadlockError(RuntimeError):
-    """The event queue drained while some program had not finished."""
 
 
 class MpNode:
@@ -75,6 +71,8 @@ class MpRunResult:
 class MpMachine:
     """The CM-5-like message-passing machine."""
 
+    kind = "mp"
+
     def __init__(
         self,
         params: Optional[MachineParams] = None,
@@ -106,9 +104,7 @@ class MpMachine:
             ctx.coll = CollectiveGroup(ctx, strategy=collective_strategy)
         self._finish_times: Dict[int, int] = {}
         self._interrupt_servicers: Dict[int, Process] = {}
-        # No-ops unless a tracer/checker is installed (repro.trace/check).
-        trace.active().attach_mp(self)
-        check.active().attach_mp(self)
+        attach_observers(self)
 
     def ensure_interrupt_servicer(self, pid: int) -> None:
         """Start the node's interrupt-service process (idempotent)."""

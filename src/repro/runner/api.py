@@ -3,15 +3,14 @@
 * :func:`run_raw` — run one experiment in this process and return the
   *raw* result object (a :class:`~repro.core.study.PairResult` or
   result dict), memoized per configuration until the
-  :class:`MemoScope` that ran it (if any) releases it, or
-  :func:`clear_memory_cache` drops it. This is what the benchmarks and
-  the legacy :func:`repro.core.experiments.run_experiment` wrapper
+  :func:`memo_scope` that ran it (if any) exits, or
+  :func:`clear_memory_cache` drops it. This is what the benchmarks
   use; shape checks that compare against a baseline run reach it
   through :func:`baseline`.
 * :func:`record_for` — one experiment as a serializable
   :class:`~repro.runner.record.RunRecord`, served from the on-disk
   cache when possible (zero simulation on a warm cache). Raw results
-  it simulates are released once the record is built.
+  it simulates are released when its :func:`memo_scope` exits.
 * :func:`execute` — the fan-out driver behind ``python -m repro run``:
   cache lookups, dependency-aware grouping, multiprocessing, progress
   reporting, and cache write-back.
@@ -21,12 +20,13 @@ from __future__ import annotations
 
 import gc
 from collections import OrderedDict
+from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import AbstractSet, Any, Dict, Mapping, Optional, Sequence, Set
+from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Set
 
 from repro.runner.cache import ResultCache, cache_key
 from repro.runner.config import ExperimentConfig
-from repro.runner.executor import WorkItem, default_jobs, plan_groups, run_group, run_parallel
+from repro.runner.executor import default_jobs, plan_groups, run_group, run_parallel
 from repro.runner.record import SHAPE_CONFIG, RunRecord
 
 #: In-process memo of raw results, keyed by the content address. Raw
@@ -34,8 +34,9 @@ from repro.runner.record import SHAPE_CONFIG, RunRecord
 #: machines); the disk cache stores the serializable records instead.
 _MEMO: Dict[str, Any] = {}
 
-#: The :class:`MemoScope` this thread is running in, if any.
-_SCOPE: ContextVar[Optional["MemoScope"]] = ContextVar("repro_memo_scope", default=None)
+#: The memo keys owned by the outermost :func:`memo_scope` open in this
+#: thread, if any.
+_SCOPE: ContextVar[Optional[Set[str]]] = ContextVar("repro_memo_scope", default=None)
 
 _MISSING = object()
 
@@ -62,9 +63,9 @@ def run_raw(exp_id: str, overrides: Optional[Mapping[str, Any]] = None) -> Any:
     result = _MEMO.get(key, _MISSING)
     if result is _MISSING:
         result = _MEMO[key] = spec.runner(config)
-        scope = _SCOPE.get()
-        if scope is not None:
-            scope.owned.add(key)
+        owned = _SCOPE.get()
+        if owned is not None:
+            owned.add(key)
     return result
 
 
@@ -95,71 +96,36 @@ def baseline(exp_id: str) -> Any:
     return run_raw(exp_id, None if config is None else baseline_overrides(config))
 
 
-def baseline_keys(items: Sequence[WorkItem]) -> Set[str]:
-    """Memo keys of the baselines ``items``' shape checks will ask for."""
-    from repro.core.experiments import get_experiment
-
-    keys = set()
-    for exp_id, overrides in items:
-        config = resolve_config(exp_id, overrides)
-        for base in get_experiment(exp_id).after:
-            keys.add(cache_key(resolve_config(base, baseline_overrides(config))))
-    return keys
-
-
 def memo_keys() -> Set[str]:
     """The raw results the memo holds now."""
     return set(_MEMO)
 
 
-class MemoScope:
-    """The raw results :func:`run_raw` memoizes while this scope is
-    entered, in this thread, and their release.
+@contextmanager
+def memo_scope() -> Iterator[None]:
+    """Own what :func:`run_raw` memoizes in this thread until the block exits.
 
-    A scope releases only what it memoized itself: never an entry a
-    caller made before it, nor one another thread's scope made (the
-    ``repro serve`` queue runs groups on two threads). Leaving the
-    scope releases everything it still holds, except results named in
-    ``keep``, which pass to the enclosing scope, if there is one.
+    The outermost scope in a thread owns every entry memoized inside it;
+    a nested scope joins it. When the outermost scope exits, it drops
+    those entries and runs one ``gc.collect()``, which reclaims the
+    machines its runs built (machines are reference cycles, so nothing
+    frees them until the cycle collector runs). It never drops an entry
+    a caller memoized before it, nor one another thread memoized (the
+    ``repro serve`` queue runs groups on two threads).
     """
-
-    def __init__(self, keep: AbstractSet[str] = frozenset()) -> None:
-        self.owned: Set[str] = set()
-        self.keep = keep
-        self._garbage = False
-        self._token = None
-
-    def __enter__(self) -> "MemoScope":
-        self._token = _SCOPE.set(self)
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        _SCOPE.reset(self._token)
-        outer = _SCOPE.get()
-        if outer is not None:
-            handed = self.owned & self.keep
-            outer.owned |= handed
-            self.owned -= handed
-        self.release()
-
-    def release(self, keep: AbstractSet[str] = frozenset(), collect: bool = True) -> None:
-        """Drop what this scope memoized, except ``keep``; with
-        ``collect``, reclaim every machine dropped so far now.
-
-        Machines are reference cycles (engine, processes, generator
-        frames, contexts), so dropping the last reference frees nothing
-        until the cycle collector runs. A full collection costs 10-20 ms
-        after a small run, so a caller may drop several results before
-        it collects once.
-        """
-        dropped = self.owned - keep
-        for key in dropped:
+    if _SCOPE.get() is not None:
+        yield
+        return
+    owned: Set[str] = set()
+    token = _SCOPE.set(owned)
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+        for key in owned:
             _MEMO.pop(key, None)
-        self.owned -= dropped
-        self._garbage = self._garbage or bool(dropped)
-        if collect and self._garbage:
+        if owned:
             gc.collect()
-            self._garbage = False
 
 
 def record_for(
@@ -172,7 +138,8 @@ def record_for(
     """One experiment's record: disk cache first, then an in-process run.
 
     The run is a group of one (:func:`~repro.runner.executor.run_group`),
-    so the raw results it memoizes are released before this returns.
+    so unless a :func:`memo_scope` is already open, the raw results it
+    memoizes are released before this returns.
     """
     config = resolve_config(exp_id, overrides)
     cache = cache if cache is not None else ResultCache()

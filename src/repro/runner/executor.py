@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import AbstractSet, Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.runner.record import RunRecord
 
@@ -89,43 +89,32 @@ def plan_batches(
     return [list(items[i:i + size]) for i in range(0, len(items), size)]
 
 
-def run_group(
-    items: Sequence[WorkItem], keep: AbstractSet[str] = frozenset()
-) -> List[RunRecord]:
+def run_group(items: Sequence[WorkItem]) -> List[RunRecord]:
     """Run one group serially in this process; the worker entry point.
 
-    Each raw result is released as soon as its record is built, except
-    a baseline a later item's checks still need, which goes after its
-    last dependent: when this returns, the in-process memo holds
-    nothing the group put there but the baselines named in ``keep``,
-    which a caller's :class:`~repro.runner.api.MemoScope` takes over.
-    A registered runner keeps no machine and reclaims every earlier one
-    before it builds its own, so the group holds one machine at a time.
-    For a runner whose result does hold machines, a dependency group (a
-    baseline and its full-size variants, such as em3d's) reclaims each
-    result's machines before the next item runs; a group of
-    independent items (one experiment, or a sweep batch of at most four
-    points) reclaims them once, at the end, saving a full collection
-    per point.
+    The group runs in one :func:`~repro.runner.api.memo_scope`: a
+    baseline simulated for one item serves every later one, and what
+    the group memoized is dropped when the outermost scope in this
+    thread exits. A registered runner keeps no machine and reclaims
+    every earlier one before it builds its own, so the group holds one
+    machine at a time.
 
     Must stay a top-level function: it is pickled by name when shipped
     to a spawned worker.
     """
     from repro.core.experiments import get_experiment
-    from repro.runner.api import MemoScope, baseline_keys, resolve_config, run_raw
+    from repro.runner.api import memo_scope, resolve_config, run_raw
     from repro.runner.record import build_record
 
-    reclaim_each = any(get_experiment(exp_id).after for exp_id, _ in items)
     records: List[RunRecord] = []
-    with MemoScope(keep) as scope:
-        for i, (exp_id, overrides) in enumerate(items):
+    with memo_scope():
+        for exp_id, overrides in items:
             spec = get_experiment(exp_id)
             config = resolve_config(exp_id, overrides)
             start = time.perf_counter()
             result = run_raw(exp_id, overrides)
             records.append(build_record(spec, config, result, time.perf_counter() - start))
             del result  # leave the memo's reference the only one
-            scope.release(keep=keep | baseline_keys(items[i + 1:]), collect=reclaim_each)
     return records
 
 
@@ -158,15 +147,14 @@ def run_parallel(
     """
     records: List[RunRecord] = []
     if runs_in_process(groups, jobs):
-        from repro.runner.api import MemoScope, baseline_keys
+        from repro.runner.api import memo_scope
 
-        # A baseline that several groups compare against (the points of
-        # a sweep over a dependent) is simulated once and kept until the
-        # last group is done.
-        needs = [baseline_keys(group) for group in groups]
-        with MemoScope():
-            for i, group in enumerate(groups):
-                batch = run_group(group, keep=set().union(*needs[i + 1:]))
+        # One scope over every group: a baseline that several groups
+        # compare against (the points of a sweep over a dependent) is
+        # simulated once.
+        with memo_scope():
+            for group in groups:
+                batch = run_group(group)
                 records.extend(batch)
                 if progress is not None:
                     for record in batch:

@@ -51,7 +51,6 @@ a checked run observes exactly the scalar op stream.
 
 from __future__ import annotations
 
-import difflib
 from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -61,31 +60,6 @@ from repro.memory.dataspace import Region, Segment
 from repro.sim.process import delay_of
 
 _EXCLUSIVE = LineState.EXCLUSIVE
-
-#: Pre-redesign keyword names, mapped to their unified replacements.
-_LEGACY_KWARGS = {"lo": "start", "hi": "stop"}
-
-
-def reject_unknown_kwargs(method: str, kwargs: dict, allowed: Sequence[str]) -> None:
-    """Raise TypeError with a did-you-mean hint for a stray keyword.
-
-    The context ops accept ``**kwargs`` only to produce this error: the
-    unified signature is ``(region, start, stop, values=...)`` and the
-    old ``lo=``/``hi=`` spellings name their replacements explicitly,
-    matching the strict ``with_overrides`` idiom of the runner configs.
-    """
-    if not kwargs:
-        return
-    name = next(iter(kwargs))
-    hint = _LEGACY_KWARGS.get(name)
-    if hint is None:
-        close = difflib.get_close_matches(name, allowed, n=1)
-        hint = close[0] if close else None
-    did_you_mean = f"; did you mean {hint!r}?" if hint else ""
-    raise TypeError(
-        f"{method}() got an unexpected keyword argument {name!r}{did_you_mean}"
-    )
-
 
 #: values argument: concrete data, or a callable of the results-so-far list.
 BatchValues = Union[Sequence, Callable[[List[Any]], Any]]
@@ -323,10 +297,8 @@ class BatchedContext:
     # -- scalar ops with batched fast paths ---------------------------------
 
     def read(
-        self, region: Region, start: int = 0, stop: Optional[int] = None, **kwargs
+        self, region: Region, start: int = 0, stop: Optional[int] = None
     ) -> Generator:
-        if kwargs:
-            reject_unknown_kwargs("read", kwargs, ("start", "stop"))
         if stop is None:
             stop = region.flat.size
         if self._fast_range(region, start, stop, False) is not None:
@@ -340,10 +312,7 @@ class BatchedContext:
         stop: Optional[int] = None,
         *,
         values: Optional[Sequence] = None,
-        **kwargs,
     ) -> Generator:
-        if kwargs:
-            reject_unknown_kwargs("write", kwargs, ("start", "stop", "values"))
         if values is not None:
             values = np.asarray(values)
             stop = start + values.size

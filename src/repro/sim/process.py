@@ -82,6 +82,10 @@ class ProcessCrash(RuntimeError):
         self.original = original
 
 
+class DeadlockError(RuntimeError):
+    """The event queue drained while some program had not finished."""
+
+
 ProcessBody = Generator[Any, Any, Any]
 
 

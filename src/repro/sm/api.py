@@ -23,7 +23,7 @@ import numpy as np
 from repro.arch.address import block_span, page_span
 from repro.arch.cache import LineState
 from repro.memory.dataspace import HomePolicy, Region, Segment
-from repro.sim.batch import BatchScript, reject_unknown_kwargs, run_batch_reference
+from repro.sim.batch import BatchScript, run_batch_reference
 from repro.sim.events import SimEvent
 from repro.sim.process import Wait, delay_of
 from repro.sm.protocol import Msg, MsgType
@@ -120,11 +120,9 @@ class SmContext:
     # -- memory access ------------------------------------------------------------
 
     def read(
-        self, region: Region, start: int = 0, stop: Optional[int] = None, **kwargs
+        self, region: Region, start: int = 0, stop: Optional[int] = None
     ) -> Generator:
         """Read elements [start, stop); returns the numpy view."""
-        if kwargs:
-            reject_unknown_kwargs("read", kwargs, ("start", "stop"))
         if stop is None:
             stop = region.np.size
         yield from self._access_range(region, start, stop, write=False)
@@ -137,11 +135,8 @@ class SmContext:
         stop: Optional[int] = None,
         *,
         values: Optional[Sequence] = None,
-        **kwargs,
     ) -> Generator:
         """Write elements [start, stop) (``stop`` inferred from ``values``)."""
-        if kwargs:
-            reject_unknown_kwargs("write", kwargs, ("start", "stop", "values"))
         flat = region.np.reshape(-1)
         if values is not None:
             values = np.asarray(values)
@@ -390,7 +385,7 @@ class SmContext:
     # -- protocol extensions (paper Section 5.3.4) ---------------------------------
 
     def flush(
-        self, region: Region, start: int = 0, stop: Optional[int] = None, **kwargs
+        self, region: Region, start: int = 0, stop: Optional[int] = None
     ) -> Generator:
         """Proactively drop clean copies of elements [start, stop).
 
@@ -398,8 +393,6 @@ class SmContext:
         a remote value turns the producer's next 2-message invalidation
         into a single-message cache replacement. Dirty lines write back.
         """
-        if kwargs:
-            reject_unknown_kwargs("flush", kwargs, ("start", "stop"))
         if stop is None:
             stop = region.np.size
         addr_range = region.range_of(start, stop)

@@ -19,9 +19,10 @@ from repro.arch.costs import CostModel
 from repro.arch.params import MEMORY_MODELS, MachineParams
 from repro.arch.tlb import Tlb
 from repro.memory.dataspace import DataSpace, HomePolicy, Region
+from repro.sim import attach_observers
 from repro.sim.engine import Engine
 from repro.sim.events import Gate, SimEvent
-from repro.sim.process import Process
+from repro.sim.process import DeadlockError, Process
 from repro.sim.rng import RngStreams
 from repro.sm.api import SmContext
 from repro.sm.batched import BatchedSmContext
@@ -31,7 +32,6 @@ from repro.sm.mcs import McsLock, McsReduction
 from repro.sm.protocol import Msg, MsgType
 from repro.stats.categories import SmCat
 from repro.stats.collector import ProcStats, StatsBoard
-from repro import check, trace
 
 #: Attribution contexts for the paper's SM synchronization rows.
 _SYNC_SOURCES = (
@@ -54,10 +54,6 @@ SM_REMAPS = {
     "reduction": {source: SmCat.REDUCTION for source in _SYNC_SOURCES},
     "startup": {source: SmCat.STARTUP_WAIT for source in _SYNC_SOURCES},
 }
-
-
-class DeadlockError(RuntimeError):
-    """The event queue drained while some program had not finished."""
 
 
 class SmNode:
@@ -90,6 +86,8 @@ class SmRunResult:
 
 class SmMachine:
     """The Dir_nNB cache-coherent shared-memory machine."""
+
+    kind = "sm"
 
     def __init__(
         self,
@@ -149,9 +147,7 @@ class SmMachine:
         self._reductions: Dict[str, McsReduction] = {}
         self.regions: List[Region] = []
         self._finish_times: Dict[int, int] = {}
-        # No-ops unless a tracer/checker is installed (repro.trace/check).
-        trace.active().attach_sm(self)
-        check.active().attach_sm(self)
+        attach_observers(self)
 
     # -- topology ---------------------------------------------------------------
 

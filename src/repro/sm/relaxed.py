@@ -44,7 +44,6 @@ import numpy as np
 from repro.arch.cache import LineState
 from repro.arch.write_buffer import StoreBuffer, WriteBuffer
 from repro.memory.dataspace import Region, Segment
-from repro.sim.batch import reject_unknown_kwargs
 from repro.sim.events import Gate, SimEvent
 from repro.sim.process import Process, Wait, delay_of
 from repro.sm.api import SmContext
@@ -124,10 +123,7 @@ class RelaxedSmContext(SmContext):
         stop: Optional[int] = None,
         *,
         values: Optional[Sequence] = None,
-        **kwargs,
     ) -> Generator:
-        if kwargs:
-            reject_unknown_kwargs("write", kwargs, ("start", "stop", "values"))
         if not self._buffered_region(region):
             yield from SmContext.write(self, region, start, stop, values=values)
             return
@@ -168,9 +164,9 @@ class RelaxedSmContext(SmContext):
     # -- forwarding loads --------------------------------------------------
 
     def read(
-        self, region: Region, start: int = 0, stop: Optional[int] = None, **kwargs
+        self, region: Region, start: int = 0, stop: Optional[int] = None
     ) -> Generator:
-        base = yield from SmContext.read(self, region, start, stop, **kwargs)
+        base = yield from SmContext.read(self, region, start, stop)
         sb = self.store_buffer
         if sb.has_pending_for(region):
             return sb.apply_pending(region, start, start + base.size, base)

@@ -24,25 +24,21 @@ wires both to the experiment registry.
 Zero overhead when disabled
 ---------------------------
 
-The module-level active tracer defaults to :data:`NULL`, a null object
-whose hooks are no-ops. Machines call ``trace.active().attach_mp(self)``
-(one call per *machine construction*, never per event), and all
-per-event instrumentation is installed by rebinding bound methods on
-the specific ``ProcStats``/machine *instances* being traced. With
-tracing off, no hot-path code changes: ``Engine.run`` keeps its
-allocation-free fast loop (the dispatch hook is only consulted once per
-``run()`` call), and ``ProcStats.charge`` is the same function the seed
-shipped. Golden cycle and event counts are bit-identical either way.
+:func:`tracing` installs a tracer in the observer registry both
+machines share (:func:`repro.sim.observing`). A machine constructor
+hands itself to each installed observer (one call per *machine
+construction*, never per event), and all per-event instrumentation is
+installed by rebinding bound methods on the specific
+``ProcStats``/machine *instances* being traced. With tracing off, no
+hot-path code changes: ``Engine.run`` keeps its allocation-free fast
+loop (the dispatch hook is only consulted once per ``run()`` call), and
+``ProcStats.charge`` is the same function the seed shipped. Golden
+cycle and event counts are bit-identical either way.
 """
 
-from repro.trace.tracer import NULL, NullTracer, Tracer, active, install, tracing, uninstall
+from repro.trace.tracer import Tracer, tracing
 
 __all__ = [
-    "NULL",
-    "NullTracer",
     "Tracer",
-    "active",
-    "install",
     "tracing",
-    "uninstall",
 ]

@@ -1,10 +1,10 @@
 """The tracer: per-instance instrumentation of machines under trace.
 
-Nothing here runs unless a tracer is installed. Machines call
-``active().attach_mp(self)`` / ``attach_sm(self)`` at the end of their
-constructors; the default :data:`NULL` tracer makes those calls no-ops.
-A real :class:`Tracer` instruments the *instances* it is handed —
-``ProcStats`` charge/count/context/phase methods, the machine's
+Nothing here runs unless a tracer is installed (:func:`tracing`, over
+the shared observer registry :func:`repro.sim.observing`). Machines
+hand themselves to every installed observer at the end of their
+constructors; a :class:`Tracer` instruments the *instances* it is handed
+— ``ProcStats`` charge/count/context/phase methods, the machine's
 message-delivery paths, the directory controllers' inboxes, and the
 engine's dispatch hook — by rebinding bound methods, so untraced
 machines (and the class-level code paths) are untouched.
@@ -21,8 +21,9 @@ equal the aggregate ``ProcStats`` totals cycle-for-cycle.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, ContextManager, Dict, Iterable, List, Optional, Tuple
+
+from repro.sim import observing
 
 #: Chrome-trace thread-id layout, per simulated processor ``pid``:
 #: cycles on ``pid``, message/flow endpoints on ``TID_NET + pid``,
@@ -38,57 +39,13 @@ TID_DIR = 4000
 #: always balance. Overflow increments ``Tracer.dropped``.
 DEFAULT_MAX_EVENTS = 250_000
 
-#: Engine dispatch-hook sampling period for the pending-event counter.
-DEFAULT_COUNTER_INTERVAL = 1024
+#: Engine dispatches between samples of the pending-event counter.
+COUNTER_INTERVAL = 1024
 
 
-class NullTracer:
-    """Module-level null object: every hook is a free no-op."""
-
-    __slots__ = ()
-    enabled = False
-
-    def attach_mp(self, machine: Any) -> None:
-        pass
-
-    def attach_sm(self, machine: Any) -> None:
-        pass
-
-
-NULL = NullTracer()
-
-_active: Any = NULL
-
-
-def active() -> Any:
-    """The currently installed tracer (:data:`NULL` when tracing is off)."""
-    return _active
-
-
-def install(tracer: "Tracer") -> "Tracer":
-    """Make ``tracer`` the active tracer; machines built from now on attach."""
-    global _active
-    if _active is not NULL:
-        raise RuntimeError("a tracer is already installed; uninstall() it first")
-    _active = tracer
-    return tracer
-
-
-def uninstall() -> None:
-    """Deactivate tracing; machines built afterwards are untraced."""
-    global _active
-    _active = NULL
-
-
-@contextmanager
-def tracing(tracer: Optional["Tracer"] = None) -> Iterator["Tracer"]:
-    """``with tracing() as t:`` — install for the block, always uninstall."""
-    tracer = tracer if tracer is not None else Tracer()
-    install(tracer)
-    try:
-        yield tracer
-    finally:
-        uninstall()
+def tracing(tracer: Optional["Tracer"] = None) -> ContextManager["Tracer"]:
+    """``with tracing() as t:`` — trace every machine built in the block."""
+    return observing(tracer if tracer is not None else Tracer())
 
 
 class Tracer:
@@ -98,20 +55,15 @@ class Tracer:
         procs: restrict per-processor records to these pids (all when None).
         max_events: cap on stored capped records (see DEFAULT_MAX_EVENTS);
             ``None`` means the default, not unlimited.
-        counter_interval: engine dispatches between pending-depth samples.
     """
-
-    enabled = True
 
     def __init__(
         self,
         procs: Optional[Iterable[int]] = None,
         max_events: Optional[int] = None,
-        counter_interval: int = DEFAULT_COUNTER_INTERVAL,
     ) -> None:
         self.procs = frozenset(procs) if procs is not None else None
         self.max_events = DEFAULT_MAX_EVENTS if max_events is None else int(max_events)
-        self.counter_interval = max(1, int(counter_interval))
         #: (machine-index, pid, category-label, phase, start, duration)
         self.intervals: List[Tuple[int, int, str, str, int, int]] = []
         #: (machine-index, name, src-tid, dst-tid, t-send, t-recv, args)
@@ -129,35 +81,26 @@ class Tracer:
         self._cursors: Dict[Tuple[int, int], int] = {}
         self._cum: Dict[Tuple[int, int, str], int] = {}
 
-    # -- attach points (called by machine constructors) ---------------------
+    # -- attach point (called by every machine constructor) ----------------
 
-    def attach_mp(self, machine: Any) -> None:
-        """Instrument a freshly built message-passing machine."""
-        mi = self._add_machine(machine, "mp")
-        for node in machine.nodes:
-            self._instrument_stats(mi, node.stats, machine.engine)
-        self._wrap_mp_delivery(mi, machine)
-        self._hook_engine(mi, machine.engine)
-
-    def attach_sm(self, machine: Any) -> None:
-        """Instrument a freshly built shared-memory machine."""
-        mi = self._add_machine(machine, "sm")
-        for node in machine.nodes:
-            self._instrument_stats(mi, node.stats, machine.engine)
-        self._wrap_sm_protocol(mi, machine)
-        self._hook_engine(mi, machine.engine)
-
-    def _add_machine(self, machine: Any, kind: str) -> int:
+    def attach(self, machine: Any) -> None:
+        """Instrument a freshly built machine of either kind."""
         mi = len(self.machines)
         self.machines.append(
             {
-                "label": f"{kind}{mi}",
-                "kind": kind,
+                "label": f"{machine.kind}{mi}",
+                "kind": machine.kind,
                 "nprocs": machine.nprocs,
                 "engine": machine.engine,
             }
         )
-        return mi
+        for node in machine.nodes:
+            self._instrument_stats(mi, node.stats, machine.engine)
+        if machine.kind == "mp":
+            self._wrap_mp_delivery(mi, machine)
+        else:
+            self._wrap_sm_protocol(mi, machine)
+        self._hook_engine(mi, machine.engine)
 
     # -- record storage -----------------------------------------------------
 
@@ -269,7 +212,7 @@ class Tracer:
         """Record each packet train as a send→receive flow."""
         tracer = self
         engine = machine.engine
-        latency = machine.params.common.network_latency
+        latency = machine.params.common.message_latency
         orig_deliver = machine.deliver
 
         def deliver(packet: Any) -> None:
@@ -279,7 +222,7 @@ class Tracer:
                 tracer._flow(
                     mi, f"msg {packet.tag}",
                     TID_NET + packet.src, TID_NET + packet.dest,
-                    now, now + latency,
+                    now, now + latency(packet.src, packet.dest),
                     {
                         "src": packet.src,
                         "dest": packet.dest,
@@ -343,18 +286,18 @@ class Tracer:
         directory.post = post
 
     def _hook_engine(self, mi: int, engine: Any) -> None:
-        """Sample the engine's pending-event depth every N dispatches.
+        """Sample the engine's pending-event depth every COUNTER_INTERVAL
+        dispatches.
 
         Setting ``dispatch_hook`` routes ``run()`` through the general
         loop — slower, but cycle-for-cycle identical to the fast loop.
         """
         tracer = self
-        interval = self.counter_interval
         state = {"n": 0}
 
         def hook(now: int) -> None:
             state["n"] += 1
-            if state["n"] % interval == 0:
+            if state["n"] % COUNTER_INTERVAL == 0:
                 tracer._counter(mi, now, "engine.pending", "pending", engine.pending())
 
         engine.dispatch_hook = hook

@@ -12,6 +12,7 @@ from repro import check
 from repro.arch.cache import LineState
 from repro.arch.params import MachineParams
 from repro.check import CheckError
+from repro.sim import installed
 from repro.sm.machine import SmMachine
 
 PARAMS = MachineParams.paper(num_processors=2)
@@ -37,30 +38,31 @@ def _program(ctx, region, out):
 
 
 def test_null_checker_is_default():
-    assert check.active() is check.NULL
-    assert not check.active().enabled
+    assert installed(check.Checker) is None
 
 
 def test_install_uninstall_roundtrip():
     checker = check.Checker()
-    assert check.install(checker) is checker
-    assert check.active() is checker
-    check.uninstall()
-    assert check.active() is check.NULL
+    with check.checking(checker) as active:
+        assert active is checker
+        assert installed(check.Checker) is checker
+    assert installed(check.Checker) is None
 
 
 def test_double_install_raises():
-    check.install(check.Checker())
-    with pytest.raises(RuntimeError, match="already installed"):
-        check.install(check.Checker())
+    with check.checking() as checker:
+        with pytest.raises(RuntimeError, match="already installed"):
+            with check.checking():
+                pass
+        assert installed(check.Checker) is checker
 
 
 def test_checking_context_uninstalls_on_error():
     with pytest.raises(ValueError):
-        with check.checking():
-            assert check.active().enabled
+        with check.checking() as checker:
+            assert installed(check.Checker) is checker
             raise ValueError("boom")
-    assert check.active() is check.NULL
+    assert installed(check.Checker) is None
 
 
 def test_checked_run_counts_invariants():
@@ -153,17 +155,6 @@ def test_memory_corruption_trips_oracle():
             checker.verify_quiescent()
         assert exc.value.invariant == "data-value"
         assert "oracle" in exc.value.detail
-
-
-def test_oracle_can_be_disabled():
-    with check.checking(check.Checker(oracle=False)) as checker:
-        machine, region = _make_machine()
-        out = {}
-        machine.run(_program, region, out)
-    report = checker.report()
-    assert "data-value" not in report
-    assert "oracle-final" not in report
-    assert report["swmr"] > 0
 
 
 def test_machines_built_after_uninstall_are_not_monitored():

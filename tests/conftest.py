@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import sim
+
 
 @pytest.fixture(autouse=True)
 def _isolated_result_cache(tmp_path, monkeypatch):
@@ -12,3 +14,13 @@ def _isolated_result_cache(tmp_path, monkeypatch):
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro_cache"))
     yield
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_observer():
+    """Every test ends with no tracer, checker or other observer
+    installed; one that leaks fails, and does not poison later tests."""
+    yield
+    leaked = list(sim._OBSERVERS)
+    sim._OBSERVERS.clear()
+    assert not leaked, f"test left observers installed: {leaked}"

@@ -68,12 +68,3 @@ def test_facade_sweep_accepts_spec_name(monkeypatch, tmp_path):
 def test_facade_sweep_unknown_name():
     with pytest.raises(ValueError, match="unknown sweep"):
         api.sweep("definitely-not-a-sweep")
-
-
-def test_run_experiment_wrapper_deprecated_in_favor_of_facade():
-    from repro.core.experiments import run_experiment
-
-    api.clear_memory_cache()
-    with pytest.warns(DeprecationWarning, match="repro.api.run_raw"):
-        run_experiment("validation")
-    api.clear_memory_cache()

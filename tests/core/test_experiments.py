@@ -3,11 +3,7 @@
 import pytest
 
 from repro.api import run_raw
-from repro.core.experiments import (
-    EXPERIMENTS,
-    get_experiment,
-    run_experiment,
-)
+from repro.core.experiments import EXPERIMENTS, get_experiment
 from repro.runner.api import clear_memory_cache
 from repro.runner.config import ExperimentConfig
 
@@ -77,14 +73,6 @@ def test_results_are_memoized():
     first = run_raw("validation")
     second = run_raw("validation")
     assert first is second
-    clear_memory_cache()
-
-
-def test_run_experiment_wrapper_is_deprecated():
-    clear_memory_cache()
-    with pytest.warns(DeprecationWarning, match="repro.api.run_raw"):
-        result = run_experiment("validation")
-    assert result is run_raw("validation")  # same memo slot
     clear_memory_cache()
 
 

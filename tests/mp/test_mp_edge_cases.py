@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.sim.process import ProcessCrash
 from repro.stats.categories import MpCat
 
 
@@ -36,13 +37,16 @@ def test_write_with_stop_only_touches_without_values(machine2):
 
 
 def test_legacy_keyword_rejected_with_hint(machine2):
+    """The pre-redesign ``hi=`` keyword is Python's own TypeError, naming
+    the keyword; the process layer wraps it like any crash."""
     def program(ctx):
         region = ctx.alloc("r", 8)
         yield from ctx.write(region, 0, hi=8)
 
-    with pytest.raises(Exception) as excinfo:
+    with pytest.raises(ProcessCrash) as excinfo:
         machine2.run(program)
-    assert "did you mean 'stop'" in str(excinfo.value)
+    assert isinstance(excinfo.value.original, TypeError)
+    assert "unexpected keyword argument 'hi'" in str(excinfo.value)
 
 
 def test_write_without_values_or_hi_rejected(machine2):

@@ -8,7 +8,6 @@ import dataclasses
 import gc
 import os
 import threading
-import warnings
 import weakref
 
 import pytest
@@ -67,7 +66,7 @@ def test_plan_groups_colocates_baselines():
 
 
 # ---------------------------------------------------------------------------
-# run_raw / run_experiment compatibility.
+# run_raw.
 # ---------------------------------------------------------------------------
 
 
@@ -78,24 +77,6 @@ def test_run_raw_memoizes_per_config():
     # A different configuration is a different memo slot.
     swept = api.run_raw("validation", {"seed": 7})
     assert swept is not first
-    api.clear_memory_cache()
-
-
-def test_run_experiment_wrapper_warns_but_still_works():
-    api.clear_memory_cache()
-    with pytest.warns(DeprecationWarning):
-        pair = experiments.run_experiment("gauss", overrides=SMALL_GAUSS)
-    assert pair.name == "Gauss"
-    assert pair.mp_result.board.num_procs == 4
-    api.clear_memory_cache()
-
-
-def test_clear_cache_shim_warns_and_delegates():
-    api.clear_memory_cache()
-    first = api.run_raw("validation")
-    with pytest.warns(DeprecationWarning):
-        experiments.clear_cache()
-    assert api.run_raw("validation") is not first
     api.clear_memory_cache()
 
 
@@ -367,16 +348,19 @@ def test_run_group_keeps_machines_it_did_not_memoize(machines):
 
 
 def test_in_process_run_parallel_releases_each_machine(machines):
+    """In-process groups share one memo lifetime: each group's raw
+    results live until the last group is done, then all are released."""
     seen = []
 
     def progress(record):
-        # By the time a group's records are reported, its machines are gone.
         seen.append((record.exp_id, _alive(machines, record.exp_id)))
 
     groups = [[("fake_a", None)], [("fake_b", None)]]
     assert runs_in_process(groups, jobs=1)
     run_parallel(groups, jobs=1, progress=progress)
-    assert seen == [("fake_a", [False]), ("fake_b", [False])]
+    assert seen == [("fake_a", [True]), ("fake_b", [True])]
+    assert _alive(machines, "fake_a") == [False]
+    assert _alive(machines, "fake_b") == [False]
     assert api.memo_keys() == set()
 
 
@@ -416,35 +400,20 @@ def _with_runner(exp_id, wrap, monkeypatch):
     )
 
 
-def test_a_dependency_group_reclaims_each_dependent_before_the_next(machines, monkeypatch):
-    monkeypatch.setitem(
-        experiments.EXPERIMENTS, "fake_dep2",
-        dataclasses.replace(experiments.EXPERIMENTS["fake_dep"], id="fake_dep2"),
-    )
-    seen = {}
-
-    def wrap(runner):
-        def observed(config):
-            seen["base"] = _alive(machines, "fake_base")
-            seen["dep"] = _alive(machines, "fake_dep")
-            return runner(config)
-        return observed
-
-    _with_runner("fake_dep2", wrap, monkeypatch)
-    records = run_group([("fake_base", None), ("fake_dep", None), ("fake_dep2", None)])
-    assert all(r.all_ok for r in records)
-    assert seen == {"base": [True], "dep": [False]}
-    assert api.memo_keys() == set()
-
-
 def test_independent_items_are_reclaimed_once_per_group(machines, monkeypatch):
     collections = []
     monkeypatch.setattr(gc, "collect", lambda *args: collections.append(args))
     run_group([("fake_a", None), ("fake_b", None), ("fake_base", None)])
     assert len(collections) == 1
     collections.clear()
-    # One collection after the dependent, none after the kept baseline.
     run_group([("fake_base", None), ("fake_dep", None)])
+    assert len(collections) == 1
+    collections.clear()
+    # A nested scope joins the outermost one: one collection, at its end.
+    with api.memo_scope():
+        run_group([("fake_a", None)])
+        run_group([("fake_b", None)])
+        assert collections == []
     assert len(collections) == 1
 
 
@@ -505,13 +474,6 @@ def test_in_process_groups_share_a_baseline_until_the_last_is_done(machines):
     records = run_parallel(groups, jobs=1, progress=progress)
     assert all(r.all_ok for r in records)
     assert seen == [[True], [True]]
-    assert _alive(machines, "fake_base") == [False]
-    assert api.memo_keys() == set()
-
-
-def test_a_kept_baseline_is_released_with_no_scope_to_take_it(machines):
-    keep = api.baseline_keys([("fake_dep", None)])
-    run_group([("fake_dep", None)], keep=keep)
     assert _alive(machines, "fake_base") == [False]
     assert api.memo_keys() == set()
 

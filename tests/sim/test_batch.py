@@ -1,8 +1,6 @@
-"""Unit tests for the declared bulk-run script and unified signatures."""
+"""Unit tests for the declared bulk-run script."""
 
-import pytest
-
-from repro.sim.batch import BatchScript, reject_unknown_kwargs
+from repro.sim.batch import BatchScript
 
 
 def test_script_builder_chains_and_counts():
@@ -19,23 +17,3 @@ def test_script_builder_chains_and_counts():
     ]
     # The verdict memo belongs to the executing backend, not the builder.
     assert script.memos is None
-
-
-def test_reject_unknown_kwargs_names_legacy_replacement():
-    with pytest.raises(TypeError, match="did you mean 'start'"):
-        reject_unknown_kwargs("read", {"lo": 0}, ("start", "stop"))
-    with pytest.raises(TypeError, match="did you mean 'stop'"):
-        reject_unknown_kwargs("read", {"hi": 8}, ("start", "stop"))
-
-
-def test_reject_unknown_kwargs_suggests_close_match():
-    with pytest.raises(TypeError, match="did you mean 'values'"):
-        reject_unknown_kwargs("write", {"value": 1}, ("start", "stop", "values"))
-
-
-def test_reject_unknown_kwargs_without_hint():
-    with pytest.raises(TypeError, match="unexpected keyword argument 'zzz'"):
-        reject_unknown_kwargs("read", {"zzz": 1}, ("start", "stop"))
-    # No kwargs: a no-op, not an error.
-    reject_unknown_kwargs("read", {}, ("start", "stop"))
-

@@ -189,13 +189,26 @@ def _checker_report(exp_id, backend):
     return checker.report()
 
 
+#: Full checker reports at the SMALL configs, the same on both backends:
+#: a seam that lost one wrapper changes a count here.
+CHECKER_REPORTS = {
+    "mse": {"conservation": 182, "data-value": 91, "dir-agreement": 16,
+            "fifo": 182, "oracle-final": 1, "quiescence": 1, "swmr": 184},
+    "gauss": {"conservation": 972, "data-value": 8321, "dir-agreement": 1078,
+              "fifo": 972, "oracle-final": 6, "quiescence": 1, "swmr": 4991},
+    "em3d": {"conservation": 240, "data-value": 5146, "dir-agreement": 1066,
+             "fifo": 228, "oracle-final": 112, "quiescence": 1,
+             "residual-packets": 12, "swmr": 4924},
+}
+
+
 def _assert_checker_parity(exp_id):
     """The checker rebinds a context's data ops and routes its run_batch
     through the reference decomposition, so a checked batched run makes
     exactly the checks of a checked reference run."""
     batched = _checker_report(exp_id, "batched")
     assert batched == _checker_report(exp_id, "reference")
-    assert batched["data-value"] > 0 and batched["swmr"] > 0
+    assert batched == CHECKER_REPORTS[exp_id]
 
 
 @pytest.mark.parametrize("exp_id", ("mse", "gauss"))

@@ -13,6 +13,8 @@ import pytest
 
 from repro import trace
 from repro.core.experiments import EXPERIMENTS
+from repro.sim import installed
+from repro.trace.tracer import COUNTER_INTERVAL
 
 MSE_SMALL = {"procs": 4, "app": {"bodies": 16, "elements_per_body": 4, "iterations": 3}}
 
@@ -39,29 +41,23 @@ def _label(category):
 
 
 def test_install_uninstall_lifecycle():
-    assert trace.active() is trace.NULL
+    assert installed(trace.Tracer) is None
     tracer = trace.Tracer()
-    trace.install(tracer)
-    try:
-        assert trace.active() is tracer
-        with pytest.raises(RuntimeError):
-            trace.install(trace.Tracer())
-    finally:
-        trace.uninstall()
-    assert trace.active() is trace.NULL
+    with trace.tracing(tracer) as active:
+        assert active is tracer
+        assert installed(trace.Tracer) is tracer
+        with pytest.raises(RuntimeError, match="already installed"):
+            with trace.tracing():
+                pass
+        assert installed(trace.Tracer) is tracer
+    assert installed(trace.Tracer) is None
 
 
 def test_tracing_context_manager_uninstalls_on_error():
     with pytest.raises(ValueError):
         with trace.tracing():
             raise ValueError("boom")
-    assert trace.active() is trace.NULL
-
-
-def test_null_tracer_hooks_are_noops():
-    trace.NULL.attach_mp(object())
-    trace.NULL.attach_sm(object())
-    assert not trace.NULL.enabled
+    assert installed(trace.Tracer) is None
 
 
 def test_interval_sums_equal_aggregate_totals():
@@ -101,6 +97,28 @@ def test_mp_flows_and_sm_protocol_recorded():
         assert args["packets"] >= 1
     # Directory arrivals were observed as instants on the SM machine.
     assert any(inst[0] == by_kind["sm"] for inst in tracer.instants)
+
+
+def test_mp_flows_follow_the_two_level_topology():
+    """Under the cluster preset an MP flow lasts the latency the machine
+    charges for that pair: on-node or across the network."""
+    overrides = {
+        "preset": "cluster",
+        "procs": 16,
+        "app": {"bodies": 16, "elements_per_body": 4, "iterations": 2},
+    }
+    spec = EXPERIMENTS["mse"]
+    config = spec.config.with_overrides(overrides)
+    latency = config.machine_params().common.message_latency
+    with trace.tracing() as tracer:
+        spec.runner(config)
+    (mp,) = [mi for mi, m in enumerate(tracer.machines) if m["kind"] == "mp"]
+    flows = [f for f in tracer.flows if f[0] == mp]
+    durations = set()
+    for _mi, _name, _src, _dst, t0, t1, args in flows:
+        assert t1 - t0 == latency(args["src"], args["dest"])
+        durations.add(t1 - t0)
+    assert len(durations) == 2
 
 
 def test_intervals_are_gap_free_per_processor():
@@ -146,11 +164,15 @@ def test_max_events_caps_and_counts_drops():
 
 
 def test_engine_pending_counter_sampled():
-    tracer, _pair = _run_mse_traced(counter_interval=64)
-    pending = [c for c in tracer.counters if c[2] == "engine.pending"]
-    assert pending
-    for _mi, _ts, _name, _series, value in pending:
-        assert value >= 0
+    """Each machine samples its pending-event depth once per
+    COUNTER_INTERVAL dispatches (inline steps are not dispatches)."""
+    tracer, pair = _run_mse_traced()
+    events = {"mp": pair.mp_result.events_executed, "sm": pair.sm_result.events_executed}
+    for mi, machine in enumerate(tracer.machines):
+        pending = [c for c in tracer.counters if c[0] == mi and c[2] == "engine.pending"]
+        assert 1 <= len(pending) <= events[machine["kind"]] // COUNTER_INTERVAL
+        for _mi, _ts, _name, _series, value in pending:
+            assert value >= 0
 
 
 def test_api_trace_for_returns_validated_document():
