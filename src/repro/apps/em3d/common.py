@@ -79,15 +79,6 @@ class Em3dGraph:
                     result[dest].append((src_pid, src, weight))
         return result
 
-    def remote_edge_count(self, pid: int) -> int:
-        """Out-edges from ``pid`` whose sink is on another processor."""
-        return sum(
-            1
-            for kind in (E, H)
-            for (_s, dest_pid, _d, _w) in self.out_edges[kind][pid]
-            if dest_pid != pid
-        )
-
 
 def build_graph(config: Em3dConfig, nprocs: int) -> Em3dGraph:
     """Randomly generate the bipartite graph (deterministic in the seed)."""

@@ -51,12 +51,29 @@ class CommonParams:
     intra_cluster_latency: Optional[int] = None
 
     def __post_init__(self) -> None:
+        for name in ("cache_assoc", "block_bytes"):  # the divisors below
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.cache_bytes % (self.block_bytes * self.cache_assoc) != 0:
             raise ValueError("cache size must be a multiple of assoc * block")
         if self.page_bytes % self.block_bytes != 0:
             raise ValueError("page size must be a multiple of block size")
         if self.cluster_size < 1:
             raise ValueError("cluster_size must be >= 1")
+        # Cycle counts become Delays and schedule() delays, which cannot
+        # run backwards; zero is a legal (free) cost.
+        for name in (
+            "network_latency",
+            "barrier_latency",
+            "local_miss_cycles",
+            "dram_cycles",
+            "tlb_miss_cycles",
+            "intra_cluster_latency",
+        ):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     def message_latency(self, src: int, dest: int) -> int:
         """Network cycles between two distinct processors.

@@ -28,7 +28,7 @@ runs a fixed seed schedule.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -115,7 +115,6 @@ def run_sm_stress(
     ops: int = 500,
     seed: int = 0,
     nprocs: int = 4,
-    checker: Optional[check.Checker] = None,
     backend: str = "batched",
     consistency: str = "sc",
 ) -> Dict[str, int]:
@@ -131,7 +130,7 @@ def run_sm_stress(
     exclusion survives relaxation by construction.
     """
     schedule = _sm_schedule(ops, seed, nprocs)
-    checker = checker if checker is not None else installed(check.Checker)
+    checker = installed(check.Checker)
     if checker is None:
         with check.checking() as checker:
             return _run_sm_stress(
@@ -261,7 +260,6 @@ def run_mp_stress(
     ops: int = 200,
     seed: int = 0,
     nprocs: int = 4,
-    checker: Optional[check.Checker] = None,
     backend: str = "batched",
 ) -> Dict[str, int]:
     """Random sequenced-message stress on the MP machine under the checker.
@@ -275,7 +273,7 @@ def run_mp_stress(
     for src, sends in enumerate(schedule):
         for dest, _tag, _seq, _gap in sends:
             expected[dest] += 1
-    checker = checker if checker is not None else installed(check.Checker)
+    checker = installed(check.Checker)
     if checker is None:
         with check.checking(check.Checker(strict_quiescence=True)) as checker:
             return _run_mp_stress(schedule, expected, seed, nprocs, checker, backend)

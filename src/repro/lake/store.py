@@ -421,13 +421,3 @@ class RunLake:
             ).fetchall():
                 row.setdefault(metric["name"], metric["value"])
             yield row
-
-    def sweep_rows(self) -> Iterable[Dict[str, Any]]:
-        """``sweeps`` rows as dicts (result JSON parsed)."""
-        for raw in self._conn.execute(
-            "SELECT * FROM sweeps ORDER BY spec_name, ingested_at"
-        ).fetchall():
-            row = dict(raw)
-            row["result"] = json.loads(row.pop("result_json"))
-            row["all_ok"] = bool(row["all_ok"])
-            yield row

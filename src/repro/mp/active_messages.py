@@ -114,6 +114,3 @@ class AmLayer:
                     packet.count * ctx.params.mp.lib_recv_packet_cycles
                 )
             yield from handler(ctx, packet)
-
-    def known_handlers(self) -> tuple:
-        return tuple(self._handlers)

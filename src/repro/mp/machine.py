@@ -120,11 +120,8 @@ class MpMachine:
         if not 0 <= packet.dest < self.nprocs:
             raise ValueError(f"bad destination {packet.dest}")
         latency = self.params.common.message_latency(packet.src, packet.dest)
-        # Bare continuation: deliveries are never cancelled, so the
-        # handle-free path keeps the same (time, seq) ordering without
-        # allocating a ScheduledAction.
         ni = self.nodes[packet.dest].ni
-        self.engine._schedule_step(latency, lambda: ni.enqueue(packet))
+        self.engine.schedule(latency, lambda: ni.enqueue(packet))
 
     def _wrap(self, program: Callable[..., Generator], ctx: MpContext, args: tuple) -> Generator:
         result = yield from program(ctx, *args)

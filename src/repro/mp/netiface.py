@@ -94,9 +94,6 @@ class NetworkInterface:
             return None
         return self._interrupt_queue.popleft()
 
-    def interrupts_pending(self) -> int:
-        return len(self._interrupt_queue)
-
     def status(self) -> bool:
         """Status-word read: is an incoming packet queued?"""
         return bool(self._incoming)

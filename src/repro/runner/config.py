@@ -142,10 +142,6 @@ class ExperimentConfig:
                 return value
         return default
 
-    @property
-    def options_dict(self) -> Dict[str, Any]:
-        return dict(self.options)
-
     def machine_params(self, procs: Optional[int] = None) -> MachineParams:
         """The resolved machine for this run (``preset`` table + overrides)."""
         params = machine_preset(self.preset, num_processors=procs or self.procs)

@@ -321,11 +321,12 @@ class JobQueue:
 
         try:
             config = resolve_config(request.exp_id, request.overrides or None)
+            # The key resolves the machine parameters, which reject an
+            # impossible machine.
+            key = cache_key(config)
         except (KeyError, ValueError, TypeError) as exc:
             message = exc.args[0] if exc.args else str(exc)
             raise SchemaError(str(message)) from exc
-
-        key = cache_key(config)
         job = Job(
             job_id=key,
             kind="run",

@@ -62,16 +62,14 @@ class Gate:
     (i.e., a remote write) arrives, at which point it re-reads the flag.
     """
 
-    __slots__ = ("_waiters", "name", "pulses")
+    __slots__ = ("_waiters", "name")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self.pulses = 0
         self._waiters: List[Callable[[], None]] = []
 
     def pulse(self) -> None:
         """Wake every parked waiter."""
-        self.pulses += 1
         waiters, self._waiters = self._waiters, []
         for waiter in waiters:
             waiter()
@@ -79,7 +77,3 @@ class Gate:
     def park(self, callback: Callable[[], None]) -> None:
         """Register ``callback`` to run on the next pulse."""
         self._waiters.append(callback)
-
-    def waiting(self) -> int:
-        """Number of parked waiters."""
-        return len(self._waiters)

@@ -122,17 +122,12 @@ class Process:
         self._deliver = self._deliver_wake
         self._on_event = self._resume_from_event
         self._wake_value: Any = None
-        engine._schedule_step(0, self._cont)
+        engine.schedule(0, self._cont)
 
     @property
     def finished(self) -> bool:
         """True once the body has returned (or crashed)."""
         return self.done.fired or self._crashed is not None
-
-    @property
-    def crash(self) -> Optional[ProcessCrash]:
-        """The wrapped exception if the body crashed, else None."""
-        return self._crashed
 
     def result(self) -> Any:
         """Return value of the body; raises if it crashed or is unfinished."""
@@ -161,30 +156,23 @@ class Process:
             command_cls = command.__class__
             if command_cls is Delay:
                 # Enqueue the continuation directly (the open-coded body
-                # of Engine._schedule_step).
+                # of Engine.schedule).
                 cycles = command.cycles
                 if cycles:
                     # The checks of Engine.consume_inline_delay, open-coded:
-                    # resume inline when nothing else is due now, nothing on
-                    # the heap comes first, and no stop is requested. The
-                    # until/max_events budgets exist only outside the fast
-                    # loop; then the method decides.
+                    # resume inline when nothing else is due now and
+                    # nothing on the heap comes first.
                     resume = engine._now + cycles
                     heap = engine._heap
                     if (
                         not engine._due
                         and (not heap or heap[0][0] > resume)
                         and engine._running
-                        and not engine._stop_requested
                     ):
-                        if engine._until is None and engine._max_events is None:
-                            engine._now = resume
-                            engine._inline += 1
-                            value = None
-                            continue
-                        if engine.consume_inline_delay(cycles):
-                            value = None
-                            continue
+                        engine._now = resume
+                        engine._inline += 1
+                        value = None
+                        continue
                     heappush(heap, (resume, engine._seq, cont))
                     engine._seq += 1
                     return

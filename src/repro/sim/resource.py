@@ -1,9 +1,9 @@
 """FIFO server resource with per-request occupancy.
 
-Used to model the shared-memory machine's directory controllers: requests
-queue in arrival order and each occupies the controller for a
-request-specific number of cycles. Queuing delay at these resources is
-how directory contention (reported for Gauss in the paper) emerges.
+Requests queue in arrival order and each occupies the server for a
+request-specific number of cycles. No machine builds one: the
+shared-memory directory controllers keep their own inboxes and queue
+counters (:mod:`repro.sm.directory`).
 """
 
 from __future__ import annotations

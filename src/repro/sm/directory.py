@@ -269,7 +269,7 @@ class Directory:
 
     def _complete(self, msg: Msg, info: TransactionInfo) -> None:
         """Deliver the reply (data or grant) to the requester."""
-        self.engine._schedule_step(
+        self.engine.schedule(
             self.machine.latencies[self.node_id][msg.requester],
             partial(msg.done.fire, info),
         )

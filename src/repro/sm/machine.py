@@ -186,10 +186,7 @@ class SmMachine:
 
     def send_to_directory_from(self, src: int, home: int, msg: Msg) -> None:
         """Requester -> home directory, after the network latency."""
-        # Bare continuation: in-flight messages are never cancelled, so
-        # the handle-free scheduling path keeps the same (time, seq)
-        # ordering without allocating a ScheduledAction.
-        self.engine._schedule_step(
+        self.engine.schedule(
             self.latencies[src][home], partial(self.directories[home].post, msg)
         )
 
@@ -200,7 +197,7 @@ class SmMachine:
 
     def send_to_cache_ctrl(self, src: int, dest: int, msg: Msg) -> None:
         """Directory -> a remote cache controller (INV/FETCH)."""
-        self.engine._schedule_step(
+        self.engine.schedule(
             self.latencies[src][dest], partial(self.cache_ctrls[dest].post, msg)
         )
 

@@ -273,7 +273,7 @@ class StoreBufferDrain:
                 # it must not sit behind a long-lingering older store.
                 wake = SimEvent(name=self._wake_name)
                 fire = lambda: wake.fired or wake.fire(None)
-                engine._schedule_step(entry.ready_time - now, fire)
+                engine.schedule(entry.ready_time - now, fire)
                 self._gate.park(fire)
                 yield Wait(wake)
                 continue

@@ -287,11 +287,7 @@ class Tracer:
 
     def _hook_engine(self, mi: int, engine: Any) -> None:
         """Sample the engine's pending-event depth every COUNTER_INTERVAL
-        dispatches.
-
-        Setting ``dispatch_hook`` routes ``run()`` through the general
-        loop — slower, but cycle-for-cycle identical to the fast loop.
-        """
+        dispatches."""
         tracer = self
         state = {"n": 0}
 
@@ -312,10 +308,6 @@ class Tracer:
                 totals.setdefault(pid, {}).setdefault(label, 0)
                 totals[pid][label] += dur
         return totals
-
-    def event_count(self) -> int:
-        """Total records stored (capped records plus begin/end marks)."""
-        return self._stored + len(self.marks)
 
 
 def _label(category: Any) -> str:

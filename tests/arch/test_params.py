@@ -129,3 +129,24 @@ def test_flat_message_latency_matches_network_latency():
 def test_bad_cluster_size_rejected():
     with pytest.raises(ValueError, match="cluster_size"):
         CommonParams(cluster_size=0)
+
+
+@pytest.mark.parametrize(
+    "name, least",
+    [
+        ("cache_assoc", 1),
+        ("block_bytes", 1),
+        ("network_latency", 0),
+        ("barrier_latency", 0),
+        ("local_miss_cycles", 0),
+        ("dram_cycles", 0),
+        ("tlb_miss_cycles", 0),
+        ("intra_cluster_latency", 0),
+    ],
+)
+def test_impossible_machine_values_rejected(name, least):
+    with pytest.raises(ValueError, match=f"{name} must be >= {least}, got {least - 1}"):
+        CommonParams(**{name: least - 1})
+    # The least legal value builds: a zero cycle count is a free cost
+    # (em3d-latency sweeps net_latency=0), not an impossible one.
+    assert getattr(CommonParams(**{name: least}), name) == least

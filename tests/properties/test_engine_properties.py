@@ -56,22 +56,3 @@ def test_concurrent_processes_all_finish_at_max(process_delays):
     assert engine.now == max(sum(d) for d in process_delays)
     for proc, delays in zip(procs, process_delays):
         assert proc.result() == sum(delays)
-
-
-@given(st.lists(st.integers(min_value=0, max_value=100), max_size=60),
-       st.integers(min_value=0, max_value=100))
-@settings(max_examples=60, deadline=None)
-def test_run_until_is_resumable_and_equivalent(delays, split):
-    one_shot = Engine()
-    observed_one = []
-    for delay in delays:
-        one_shot.schedule(delay, lambda d=delay: observed_one.append(d))
-    one_shot.run()
-
-    two_phase = Engine()
-    observed_two = []
-    for delay in delays:
-        two_phase.schedule(delay, lambda d=delay: observed_two.append(d))
-    two_phase.run(until=split)
-    two_phase.run()
-    assert observed_one == observed_two

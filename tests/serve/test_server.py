@@ -195,6 +195,25 @@ class TestErrors:
         assert status == 400
         assert "did you mean" in body["error"]
 
+    @pytest.mark.parametrize(
+        "machine, message",
+        [
+            ({"block_bytes": 48}, "cache size must be a multiple of assoc * block"),
+            ({"network_latency": -50}, "network_latency must be >= 0, got -50"),
+            ({"cache_assoc": 0}, "cache_assoc must be >= 1, got 0"),
+        ],
+        ids=["block_bytes", "network_latency", "cache_assoc"],
+    )
+    def test_impossible_machine_400(self, server, machine, message):
+        """An impossible machine is a usage error, answered before any
+        job is queued."""
+        status, body = post(
+            server, "/v1/runs",
+            {"experiment": "validation", "overrides": {"machine": machine}},
+        )
+        assert status == 400
+        assert message in body["error"]
+
     def test_malformed_json_400(self, server):
         request = urllib.request.Request(
             server.url + "/v1/runs",

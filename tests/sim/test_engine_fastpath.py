@@ -1,9 +1,8 @@
 """Regression tests for the kernel fast paths.
 
-The engine's due lane, inline process stepping, lazy-cancellation
-accounting, and heap compaction are pure optimizations: every test here
-pins an ordering or accounting property that must match what a plain
-(time, sequence) heap would produce.
+The engine's due lane and inline process stepping are pure
+optimizations: every test here pins an ordering or accounting property
+that must match what a plain (time, sequence) heap would produce.
 """
 
 import pytest
@@ -59,123 +58,6 @@ def test_chained_zero_delays_stay_at_now():
     assert depths == [(3, 2), (2, 2), (1, 2), (0, 2)]
 
 
-# -- cancellation accounting --------------------------------------------------
-
-
-def test_cancel_due_lane_entry():
-    engine = Engine()
-    seen = []
-    engine.schedule(1, lambda: None)
-    engine.run()  # move time to 1 so delay-0 goes to the due lane mid-run
-
-    def at_2():
-        handle = engine.schedule(0, lambda: seen.append("cancelled"))
-        engine.schedule(0, lambda: seen.append("kept"))
-        handle.cancel()
-
-    engine.schedule(1, at_2)
-    engine.run()
-    assert seen == ["kept"]
-
-
-def test_pending_tracks_due_and_heap_cancellations():
-    engine = Engine()
-    due = engine.schedule(0, lambda: None)
-    heap = engine.schedule(5, lambda: None)
-    engine.schedule(6, lambda: None)
-    assert engine.pending() == 3
-    due.cancel()
-    assert engine.pending() == 2
-    heap.cancel()
-    assert engine.pending() == 1
-    engine.run()
-    assert engine.pending() == 0
-
-
-def test_cancel_after_execution_is_harmless():
-    engine = Engine()
-    handle = engine.schedule(1, lambda: None)
-    engine.run()
-    assert engine.pending() == 0
-    handle.cancel()  # must not corrupt the live-entry accounting
-    assert engine.pending() == 0
-    engine.schedule(1, lambda: None)
-    assert engine.pending() == 1
-
-
-def test_double_cancel_counts_once():
-    engine = Engine()
-    handle = engine.schedule(5, lambda: None)
-    engine.schedule(6, lambda: None)
-    handle.cancel()
-    handle.cancel()
-    assert engine.pending() == 1
-
-
-def test_heap_compaction_drops_cancelled_entries():
-    engine = Engine()
-    keep = []
-    handles = [engine.schedule(i + 1, lambda i=i: keep.append(i)) for i in range(200)]
-    # Cancel enough to cross the compaction threshold (>= 64 cancelled
-    # and more cancelled than live).
-    for handle in handles[:150]:
-        handle.cancel()
-    assert engine.pending() == 50
-    # Compaction ran: the heap holds far fewer than the 150 cancelled
-    # entries, and what garbage remains is below the compaction floor.
-    assert len(engine._heap) < 150
-    assert len(engine._heap) - engine.pending() < Engine._COMPACT_MIN
-    engine.run()
-    assert keep == list(range(150, 200))  # survivors in original order
-
-
-def test_compaction_during_run_uses_live_heap():
-    """Cancelling mid-run triggers compaction; run() must see the result."""
-    engine = Engine()
-    seen = []
-    handles = [engine.schedule(10 + i, lambda i=i: seen.append(i)) for i in range(200)]
-
-    def cancel_most():
-        for handle in handles[:150]:
-            handle.cancel()
-
-    engine.schedule(1, cancel_most)
-    engine.run()
-    assert seen == list(range(150, 200))
-    assert engine.pending() == 0
-
-
-# -- run(until) ---------------------------------------------------------------
-
-
-def test_run_until_leaves_boundary_event_untouched():
-    """Regression: the boundary event used to be popped and re-pushed."""
-    engine = Engine()
-    seen = []
-    engine.schedule(10, lambda: seen.append(10))
-    engine.schedule(20, lambda: seen.append(20))
-    engine.schedule(20, lambda: seen.append(21))
-    for until in (12, 14, 16, 18):
-        engine.run(until=until)
-        assert engine.now == until
-        assert engine.pending() == 2
-    engine.run()
-    assert seen == [10, 20, 21]  # original tie order preserved
-
-
-def test_run_until_discards_cancelled_boundary_event():
-    engine = Engine()
-    seen = []
-    handle = engine.schedule(20, lambda: seen.append("no"))
-    engine.schedule(30, lambda: seen.append("yes"))
-    handle.cancel()
-    engine.run(until=25)
-    assert engine.now == 25
-    assert engine.pending() == 1
-    engine.run()
-    assert seen == ["yes"]
-
-
 # -- inline stepping ----------------------------------------------------------
 
 
@@ -207,43 +89,6 @@ def test_concurrent_zero_delay_processes_interleave():
     assert order == [
         ("a", 0), ("b", 0), ("a", 1), ("b", 1), ("a", 2), ("b", 2),
     ]
-
-
-def test_max_events_exact_with_inline_steps():
-    def make():
-        engine = Engine()
-
-        def body():
-            for _ in range(50):
-                yield Delay(0)
-
-        Process(engine, body(), name="solo")
-        return engine
-
-    # The inline fast path must honor the budget exactly: executing the
-    # whole chain takes 51 events; any cap below that stops on the cap.
-    assert make().run(max_events=51) == 51
-    for cap in (1, 2, 7, 50):
-        assert make().run(max_events=cap) == cap
-
-
-def test_stop_during_inline_chain():
-    engine = Engine()
-    steps = []
-
-    def body():
-        for i in range(100):
-            steps.append(i)
-            if i == 4:
-                engine.stop()
-            yield Delay(0)
-
-    Process(engine, body(), name="stopper")
-    engine.run()
-    # stop() takes effect before the next step, inlined or scheduled.
-    assert steps == [0, 1, 2, 3, 4]
-    engine.run()
-    assert steps[-1] > 4  # resumes where it left off
 
 
 def test_fired_wait_value_delivery():

@@ -107,11 +107,11 @@ def test_crash_is_wrapped_and_reported():
         yield Delay(1)
         raise ValueError("boom")
 
-    proc = Process(engine, body(), name="crasher")
-    with pytest.raises(ProcessCrash):
+    Process(engine, body(), name="crasher")
+    with pytest.raises(ProcessCrash) as crash:
         engine.run()
-    assert proc.crash is not None
-    assert isinstance(proc.crash.original, ValueError)
+    assert crash.value.process_name == "crasher"
+    assert isinstance(crash.value.original, ValueError)
 
 
 def test_bad_yield_type_crashes():

@@ -309,12 +309,17 @@ def test_post_to_a_busy_directory_queues_no_wake(machine2):
     directory = machine2.directories[0]
     _idle(machine2)
     served = []
+    busy = []
+
+    def post_second():  # one cycle into the first message's occupancy
+        busy.append((directory.requests_served, bool(engine._due)))
+        directory.post(Msg(MsgType.GETS, 32, src=0, requester=0, done=_in_order(served, "second")))
+        busy.append((directory.requests_served, bool(engine._due)))
+
     directory.post(Msg(MsgType.GETS, 0, src=0, requester=0, done=_in_order(served, "first")))
-    engine.run(until=engine.now)  # the loop takes the message and starts its occupancy
-    assert directory.requests_served == 1 and not engine._due
-    directory.post(Msg(MsgType.GETS, 32, src=0, requester=0, done=_in_order(served, "second")))
-    assert not engine._due
+    engine.schedule(1, post_second)
     engine.run()
+    assert busy == [(1, False), (1, False)]
     assert directory.requests_served == 2
     assert served == ["first", "second"]
 
@@ -333,10 +338,15 @@ def test_cache_ctrl_wakes_once_and_never_while_busy(machine2, monkeypatch):
     engine.run()
     assert ctrl.invalidations_serviced == 2 and acks == [0, 32]
 
+    busy = []
+
+    def post_second():  # one cycle into the first INV's occupancy
+        busy.append((ctrl.invalidations_serviced, bool(engine._due)))
+        ctrl.post(Msg(MsgType.INV, 96, src=0, requester=0))
+        busy.append((ctrl.invalidations_serviced, bool(engine._due)))
+
     ctrl.post(Msg(MsgType.INV, 64, src=0, requester=0))
-    engine.run(until=engine.now)  # the INV's occupancy is under way
-    assert not engine._due
-    ctrl.post(Msg(MsgType.INV, 96, src=0, requester=0))
-    assert not engine._due
+    engine.schedule(1, post_second)
     engine.run()
+    assert busy == [(2, False), (2, False)]
     assert ctrl.invalidations_serviced == 4 and acks == [0, 32, 64, 96]

@@ -9,6 +9,9 @@ The two load-bearing guarantees:
   bit-identical — observation must not perturb the simulation.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro import trace
@@ -186,3 +189,47 @@ def test_api_trace_for_returns_validated_document():
     assert traced.elapsed_seconds > 0
     kinds = {m["kind"] for m in traced.document["otherData"]["machines"]}
     assert {"mp", "sm"} <= kinds
+
+
+#: Trace documents pinned byte for byte: (app, overrides, trace events,
+#: engine.pending samples, mp/sm events executed, sha256 of the document
+#: as canonical JSON). The documents hold only ints and strings, so the
+#: digest does not depend on the Python version.
+TRACE_PINS = [
+    ("mse", MSE_SMALL, 6999, 2, {"mp": 1390, "sm": 1916},
+     "9d4d2801ab6620c3a726014e120f8fce0a9813f475d74b837bdeb2cbcc709ba9"),
+    ("gauss", {"procs": 4, "app": {"n": 32}}, 34057, 12, {"mp": 3960, "sm": 14535},
+     "036ab7ae94d41e3569f9332a3956e1e54d89e2af492c535e26de76f31afe3bef"),
+    ("em3d", {"procs": 4, "app": {"nodes_per_proc": 20, "degree": 3, "iterations": 2}},
+     31113, 14, {"mp": 1879, "sm": 15996},
+     "754083922f81926cb82a393e34b84ac194951686cf58eb943f3a25f753708a9d"),
+]
+
+
+@pytest.mark.parametrize(
+    "app, overrides, events, samples, executed, digest",
+    TRACE_PINS,
+    ids=[pin[0] for pin in TRACE_PINS],
+)
+def test_trace_document_is_pinned_byte_for_byte(app, overrides, events, samples, executed, digest):
+    """Pin the counts first, so a failure says what moved, then the bytes."""
+    from repro import api
+
+    document = api.trace_for(app, overrides=overrides).document
+    trace_events = document["traceEvents"]
+    got = {
+        "events": len(trace_events),
+        "engine.pending samples": sum(
+            1 for event in trace_events if event.get("name") == "engine.pending"
+        ),
+        "events_executed": {
+            m["kind"]: m["events_executed"] for m in document["otherData"]["machines"]
+        },
+    }
+    assert got == {
+        "events": events,
+        "engine.pending samples": samples,
+        "events_executed": executed,
+    }
+    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == digest
