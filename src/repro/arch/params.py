@@ -51,16 +51,23 @@ class CommonParams:
     intra_cluster_latency: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name in ("cache_assoc", "block_bytes"):  # the divisors below
+        # Counts and sizes: every one divides or sizes something.
+        for name in (
+            "num_processors",
+            "cache_bytes",
+            "tlb_entries",
+            "page_bytes",
+            "cluster_size",
+            "cache_assoc",
+            "block_bytes",
+        ):
             value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
         if self.cache_bytes % (self.block_bytes * self.cache_assoc) != 0:
             raise ValueError("cache size must be a multiple of assoc * block")
         if self.page_bytes % self.block_bytes != 0:
             raise ValueError("page size must be a multiple of block size")
-        if self.cluster_size < 1:
-            raise ValueError("cluster_size must be >= 1")
         # Cycle counts become Delays and schedule() delays, which cannot
         # run backwards; zero is a legal (free) cost.
         for name in (

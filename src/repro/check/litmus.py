@@ -251,15 +251,18 @@ def run_litmus(
     permitted, the relaxed outcome must be observed — the seed pool is
     extended deterministically up to ``observe_budget`` total runs, and
     never seeing it raises too (a model that cannot exhibit its own
-    relaxations is mislabeled or broken). ``backend`` selects the
-    execution backend — the differential suite runs the shapes under
-    both to show the verdicts hold identically.
+    relaxations is mislabeled or broken). An empty ``seeds`` raises
+    :class:`ValueError`: a verdict over no runs proves nothing.
+    ``backend`` selects the execution backend — the differential suite
+    runs the shapes under both to show the verdicts hold identically.
     """
     if consistency not in MEMORY_MODELS:
         raise ValueError(
             f"unknown consistency {consistency!r}; "
             f"known: {list(MEMORY_MODELS)}"
         )
+    if not seeds:
+        raise ValueError(f"{test.name}: an empty seed pool checks nothing")
     mislabeled = set(test.permitted_under) - set(MEMORY_MODELS)
     if mislabeled:
         raise CheckError(

@@ -65,7 +65,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.core.experiments import EXPERIMENTS, get_experiment
-from repro.runner.api import execute
+from repro.runner.api import execute, resolve_config
 from repro.runner.cache import ResultCache
 from repro.runner.executor import default_jobs
 from repro.runner.record import RunRecord
@@ -141,27 +141,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not exp_ids:
         print("nothing to run: name experiments or pass --all", file=sys.stderr)
         return 2
-    try:
-        for exp_id in exp_ids:
-            get_experiment(exp_id)  # fail fast on typos before any long run
-    except KeyError as exc:
-        print(f"repro run: error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    if _reject_unknown_consistency(args.consistency, "repro run"):
-        return 2
-    if args.preset is not None:
-        from repro.arch.params import MACHINE_PRESETS
-
-        if args.preset not in MACHINE_PRESETS:
-            from repro.runner.config import suggest
-
-            print(
-                f"repro run: error: unknown preset {args.preset!r}"
-                f"{suggest(args.preset, MACHINE_PRESETS)}; "
-                f"known: {sorted(MACHINE_PRESETS)}",
-                file=sys.stderr,
-            )
-            return 2
     # --backend/--consistency/--preset flow through the standard
     # override channel, so cached records stay keyed (and honest) per
     # backend, memory model, and machine table.
@@ -169,11 +148,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         key: value
         for key, value in (
             ("backend", args.backend),
-            ("consistency", getattr(args, "consistency", None)),
-            ("preset", getattr(args, "preset", None)),
+            ("consistency", args.consistency),
+            ("preset", args.preset),
         )
         if value
     }
+    try:
+        for exp_id in exp_ids:  # fail fast on typos before any long run
+            resolve_config(exp_id, common or None)
+    except (KeyError, ValueError) as exc:
+        print(f"repro run: error: {exc.args[0]}", file=sys.stderr)
+        return 2
     overrides = {exp_id: dict(common) for exp_id in exp_ids} if common else None
     jobs = args.jobs if args.jobs is not None else default_jobs()
     if args.check:
@@ -296,7 +281,8 @@ def _suffixed_path(path: str, name: str, multi: bool) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.sweep import get_sweep
+    from repro.specs import expand_glob, load_sweep
+    from repro.sweep import get_sweep, parse_axis_flag
 
     # One spec by name/path, or a batch via --glob — never both.
     if bool(args.spec) == bool(args.glob):
@@ -307,50 +293,35 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         return 2
 
-    specs = []
-    if args.glob:
-        from repro.specs import SpecError, expand_glob, load_sweep
-
-        paths = expand_glob(args.glob)
-        if not paths:
-            print(
-                f"repro sweep: error: --glob {args.glob!r} matched no "
-                "spec files",
-                file=sys.stderr,
-            )
-            return 2
-        try:
+    # Resolve every grid point of every spec, with the --axis values,
+    # before the first one runs: a bad spec, axis or value in a batch
+    # is a usage error, never a failure after the others simulated.
+    try:
+        axes = dict(parse_axis_flag(flag) for flag in args.axis or [])
+        if args.glob:
+            paths = expand_glob(args.glob)
+            if not paths:
+                raise ValueError(f"--glob {args.glob!r} matched no spec files")
             specs = [load_sweep(str(path)) for path in paths]
-        except SpecError as exc:
-            print(f"repro sweep: error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        try:
+        else:
             specs = [get_sweep(args.spec)]
-        except ValueError as exc:
-            print(f"repro sweep: error: {exc}", file=sys.stderr)
-            return 2
+        for spec in specs:
+            spec.with_axes(axes).grid(get_experiment(spec.exp_id).config)
+    except (KeyError, ValueError, TypeError) as exc:
+        print(f"repro sweep: error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return 2
 
     worst = 0
     for spec in specs:
-        code = _run_one_sweep(spec, args, multi=len(specs) > 1)
+        code = _run_one_sweep(spec, axes, args, multi=len(specs) > 1)
         worst = max(worst, code)
         if code == 2:
             return 2  # usage errors stop the batch immediately
     return worst
 
 
-def _run_one_sweep(spec, args: argparse.Namespace, multi: bool = False) -> int:
-    from repro.sweep import parse_axis_flag, render_plots, run_sweep
-
-    axes = {}
-    try:
-        for flag in args.axis or []:
-            name, values = parse_axis_flag(flag)
-            axes[name] = values
-    except ValueError as exc:
-        print(f"repro sweep: error: {exc}", file=sys.stderr)
-        return 2
+def _run_one_sweep(spec, axes, args: argparse.Namespace, multi: bool = False) -> int:
+    from repro.sweep import render_plots, run_sweep
 
     def progress(done, total, point, record, simulated):
         source = f"{record.elapsed_seconds:.1f}s" if simulated else "cached"
@@ -485,12 +456,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.trace.timeline import render_timeline
 
     try:
-        spec = get_experiment(args.experiment)
-    except KeyError as exc:
+        config = resolve_config(args.experiment)
+    except (KeyError, ValueError) as exc:
         print(f"repro trace: error: {exc.args[0]}", file=sys.stderr)
         return 2
-
-    config = api.resolve_config(args.experiment)
     key = cache_key(config)
     cache = ResultCache()
 
@@ -543,39 +512,33 @@ def cmd_trace(args: argparse.Namespace) -> int:
     # `repro run`) reuse both. Only full traces are worth attaching.
     if reusable:
         record = build_record(
-            spec, config, traced.result, traced.elapsed_seconds, key=key
+            get_experiment(args.experiment), config, traced.result,
+            traced.elapsed_seconds, key=key,
         )
         record.trace_path = str(out_path)
         cache.store(record)
     return 0
 
 
-def _reject_unknown_consistency(value: Optional[str], prog: str) -> bool:
-    """Print a did-you-mean usage error for a bad memory-model name.
-
-    Returns True when the value is unknown (the caller then exits 2:
-    a typo must be a usage error, never a silently skipped shape).
-    """
-    from repro.arch.params import MEMORY_MODELS
-
-    if value is None or value in MEMORY_MODELS:
-        return False
-    from repro.runner.config import suggest
-
-    print(
-        f"{prog}: error: unknown consistency {value!r}"
-        f"{suggest(value, MEMORY_MODELS)}; known: {sorted(MEMORY_MODELS)}",
-        file=sys.stderr,
-    )
-    return True
-
-
 def cmd_check(args: argparse.Namespace) -> int:
+    from repro.arch.params import MEMORY_MODELS
     from repro.check.errors import CheckError
     from repro.check.litmus import LITMUS_TESTS, run_matrix, run_suite
     from repro.check.stress import run_mp_stress, run_sm_stress
+    from repro.runner.config import unknown
 
-    if _reject_unknown_consistency(args.consistency, "repro check"):
+    # Refuse a typo, or a budget that checks nothing, before running.
+    error = None
+    if args.consistency not in (None,) + MEMORY_MODELS:
+        error = unknown("consistency", args.consistency, MEMORY_MODELS).args[0]
+    elif args.litmus_seeds < 1:
+        error = f"--litmus-seeds must be >= 1, got {args.litmus_seeds}"
+    elif args.stress is not None and args.stress < 1:
+        error = f"--stress must be >= 1, got {args.stress}"
+    elif args.nprocs < 2 or args.nprocs % 2:
+        error = f"--nprocs must be even and >= 2, got {args.nprocs}"
+    if error is not None:
+        print(f"repro check: error: {error}", file=sys.stderr)
         return 2
     consistency = args.consistency or "sc"
     # Default: everything. `--litmus`, `--matrix`, or `--stress N`
@@ -767,16 +730,21 @@ def cmd_query(args: argparse.Namespace) -> int:
         rows_to_csv,
     )
 
-    if args.app is not None and args.app not in EXPERIMENTS:
-        from repro.runner.config import suggest
-
-        print(
-            f"repro query: error: unknown app {args.app!r}"
-            f"{suggest(args.app, EXPERIMENTS)}; known: {sorted(EXPERIMENTS)}",
-            file=sys.stderr,
+    metrics = tuple(
+        name.strip() for name in (args.metrics or "").split(",") if name.strip()
+    )
+    try:
+        filters = QueryFilters(
+            app=args.app,
+            backend=args.backend,
+            consistency=args.consistency,
+            preset=args.preset,
+            salt=args.salt,
+            all_salts=args.all_salts,
+            **({"metrics": metrics} if metrics else {}),
         )
-        return 2
-    if _reject_unknown_consistency(args.consistency, "repro query"):
+    except ValueError as exc:
+        print(f"repro query: error: {exc}", file=sys.stderr)
         return 2
 
     path = Path(args.lake_path) if args.lake_path else default_lake_path()
@@ -788,18 +756,6 @@ def cmd_query(args: argparse.Namespace) -> int:
         )
         return 1
 
-    metrics = tuple(
-        name.strip() for name in (args.metrics or "").split(",") if name.strip()
-    )
-    filters = QueryFilters(
-        app=args.app,
-        backend=args.backend,
-        consistency=args.consistency,
-        preset=args.preset,
-        salt=args.salt,
-        all_salts=args.all_salts,
-        **({"metrics": metrics} if metrics else {}),
-    )
     try:
         with RunLake(path) as lake:
             rows = query_runs(lake, filters)

@@ -35,7 +35,7 @@ from repro.apps.gauss import GaussConfig
 from repro.apps.lcp import LcpConfig
 from repro.apps.mse import MseConfig
 from repro.core.study import PairResult
-from repro.runner.config import ExperimentConfig
+from repro.runner.config import ExperimentConfig, unknown
 
 if TYPE_CHECKING:  # annotations only: the registry loads no simulator
     from repro.mp.machine import MpMachine
@@ -74,9 +74,7 @@ def get_experiment(exp_id: str) -> ExperimentSpec:
     try:
         return EXPERIMENTS[exp_id]
     except KeyError:
-        raise KeyError(
-            f"unknown experiment {exp_id!r}; known: {sorted(EXPERIMENTS)}"
-        ) from None
+        raise KeyError(str(unknown("experiment", exp_id, EXPERIMENTS))) from None
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.lake.store import RunLake
-from repro.runner.config import suggest
+from repro.runner.config import suggest, unknown
 
 #: Provenance columns shown before the metric columns.
 RUN_COLUMNS = (
@@ -42,7 +42,12 @@ PIVOT_COLUMNS = ("backend", "consistency", "preset", "salt", "procs", "exp_id")
 
 @dataclass(frozen=True)
 class QueryFilters:
-    """Equality filters for one lake query (None = no constraint)."""
+    """Equality filters for one lake query (None = no constraint).
+
+    An app, backend, memory model or preset no row could carry raises
+    :class:`ValueError`; presets include the lake's ``custom`` and
+    ``unknown`` (see :func:`repro.lake.store.infer_preset`).
+    """
 
     app: Optional[str] = None  # exp_id
     backend: Optional[str] = None
@@ -51,6 +56,19 @@ class QueryFilters:
     salt: Optional[str] = None
     all_salts: bool = False
     metrics: Tuple[str, ...] = field(default=DEFAULT_METRICS)
+
+    def __post_init__(self) -> None:
+        from repro.arch.params import MACHINE_PRESETS, MEMORY_MODELS
+        from repro.core.experiments import EXPERIMENTS
+
+        for kind, value, known in (
+            ("app", self.app, EXPERIMENTS),
+            ("backend", self.backend, ("batched", "reference")),
+            ("consistency", self.consistency, MEMORY_MODELS),
+            ("preset", self.preset, MACHINE_PRESETS + ("custom", "unknown")),
+        ):
+            if value is not None and value not in known:
+                raise unknown(kind, value, known)
 
 
 def _open(lake: Union[RunLake, str, os.PathLike, None]) -> Tuple[RunLake, bool]:
@@ -89,10 +107,7 @@ def query_runs(
         known = _known_metrics(opened)
         for name in filters.metrics:
             if known and name not in known:
-                raise ValueError(
-                    f"unknown metric {name!r}{suggest(name, known)}; "
-                    f"known: {known}"
-                )
+                raise unknown("metric", name, known)
         where, params = _where_clause(filters)
         out: List[Dict[str, Any]] = []
         for row in opened.run_rows(where, params):

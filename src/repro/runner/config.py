@@ -12,9 +12,11 @@ zero-argument closure over module globals. That makes runs
   canonicalizes the full configuration (including the resolved
   :class:`~repro.arch.params.MachineParams`) for the cache key.
 
-Unknown override keys raise :class:`ValueError` with a closest-known-key
-suggestion, so a sweep-axis typo fails loudly instead of silently
-sweeping nothing.
+A config that exists can run: unknown override keys, backends, memory
+models and presets raise :class:`ValueError` with a closest-known-name
+suggestion (:func:`unknown`), and so does an impossible machine, so a
+typo or a zero-processor sweep point fails where the request becomes a
+config, before anything is queued or simulated.
 """
 
 from __future__ import annotations
@@ -50,11 +52,15 @@ def suggest(name: Any, known: Iterable[str]) -> str:
     return f" (did you mean {matches[0]!r}?)" if matches else ""
 
 
-def _reject_unknown(name: str, known: Iterable[str], where: str) -> None:
+def unknown(kind: str, name: Any, known: Iterable[str]) -> ValueError:
+    """The error for a ``kind`` name that is not one of ``known``.
+
+    Every surface words an unknown name this way:
+    ``unknown {kind} {name!r} (did you mean ...?); known: [...]``.
+    """
     known = sorted(known)
-    raise ValueError(
-        f"unknown {where} override {name!r}{suggest(name, known)}; "
-        f"known: {known}"
+    return ValueError(
+        f"unknown {kind} {name!r}{suggest(name, known)}; known: {known}"
     )
 
 
@@ -105,24 +111,13 @@ class ExperimentConfig:
     preset: str = "paper"
 
     def __post_init__(self) -> None:
-        if self.backend not in ("reference", "batched"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}"
-                f"{suggest(self.backend, ['reference', 'batched'])}; "
-                "known: ['batched', 'reference']"
-            )
-        if self.consistency not in MEMORY_MODELS:
-            raise ValueError(
-                f"unknown consistency {self.consistency!r}"
-                f"{suggest(self.consistency, MEMORY_MODELS)}; "
-                f"known: {sorted(MEMORY_MODELS)}"
-            )
-        if self.preset not in MACHINE_PRESETS:
-            raise ValueError(
-                f"unknown preset {self.preset!r}"
-                f"{suggest(self.preset, MACHINE_PRESETS)}; "
-                f"known: {sorted(MACHINE_PRESETS)}"
-            )
+        for kind, value, known in (
+            ("backend", self.backend, ("batched", "reference")),
+            ("consistency", self.consistency, MEMORY_MODELS),
+            ("preset", self.preset, MACHINE_PRESETS),
+        ):
+            if value not in known:
+                raise unknown(kind, value, known)
         object.__setattr__(
             self, "options", tuple(sorted((str(k), v) for k, v in self.options))
         )
@@ -131,7 +126,8 @@ class ExperimentConfig:
         )
         for key, _value in self.machine:
             if key not in MACHINE_FIELDS:
-                _reject_unknown(key, MACHINE_FIELDS, "machine")
+                raise unknown("machine override", key, MACHINE_FIELDS)
+        self.machine_params()  # an impossible machine raises here
 
     # -- accessors ---------------------------------------------------------
 
@@ -163,8 +159,8 @@ class ExperimentConfig:
         config or a mapping of app-config fields to replace.
         ``options`` and ``machine`` accept mappings merged over the
         existing tuples. Unknown keys — at the top level, inside an
-        ``app`` mapping, or inside a ``machine`` mapping — raise
-        :class:`ValueError` with a closest-match suggestion.
+        ``app`` mapping, or inside a ``machine`` mapping — and an
+        impossible result raise :class:`ValueError`.
         """
         field_names = {f.name for f in fields(self)}
         changes: Dict[str, Any] = {}
@@ -175,23 +171,20 @@ class ExperimentConfig:
                 app_fields = {f.name for f in fields(self.app)}
                 for key in value:
                     if key not in app_fields:
-                        _reject_unknown(key, app_fields, "app")
+                        raise unknown("app override", key, app_fields)
                 changes["app"] = replace(self.app, **value)
             elif name == "options":
                 merged = dict(self.options)
                 merged.update(value)
                 changes["options"] = tuple(sorted(merged.items()))
             elif name == "machine":
-                for key in value:
-                    if key not in MACHINE_FIELDS:
-                        _reject_unknown(key, MACHINE_FIELDS, "machine")
                 merged = dict(self.machine)
                 merged.update(value)
                 changes["machine"] = tuple(sorted(merged.items()))
             elif name in field_names:
                 changes[name] = value
             else:
-                _reject_unknown(name, field_names, f"{self.exp_id} config")
+                raise unknown(f"{self.exp_id} config override", name, field_names)
         return replace(self, **changes)
 
     # -- canonicalization --------------------------------------------------

@@ -184,7 +184,8 @@ def subprocess_run_executor(request: RunRequest) -> RunRecord:
 
 
 def inprocess_run_executor(request: RunRequest) -> RunRecord:
-    """Simulate in this process (tests, and ``--jobs 0`` debugging)."""
+    """Simulate in this process, so tests can drive the queue without
+    spawning (``repro serve`` always uses the spawned executor)."""
     from repro.runner.executor import run_group
 
     return run_group([(request.exp_id, request.overrides or None)])[0]
@@ -279,10 +280,8 @@ class JobQueue:
                 item = self._queue.get_nowait()
             except queue.Empty:
                 return
-            if item is _STOP:
-                continue
-            job = item[0] if isinstance(item, tuple) else item
-            job.fail_if_pending("server shutting down before this job started")
+            if item is not _STOP:
+                item[0].fail_if_pending("server shutting down before this job started")
 
     def depth(self) -> int:
         """Jobs waiting for a worker (running jobs excluded)."""
@@ -321,12 +320,9 @@ class JobQueue:
 
         try:
             config = resolve_config(request.exp_id, request.overrides or None)
-            # The key resolves the machine parameters, which reject an
-            # impossible machine.
-            key = cache_key(config)
         except (KeyError, ValueError, TypeError) as exc:
-            message = exc.args[0] if exc.args else str(exc)
-            raise SchemaError(str(message)) from exc
+            raise SchemaError(str(exc.args[0] if exc.args else exc)) from exc
+        key = cache_key(config)
         job = Job(
             job_id=key,
             kind="run",
@@ -353,18 +349,21 @@ class JobQueue:
             admit=self._admit_cold if job.state == PENDING else None,
         )
         if created and job.state == PENDING:
-            self._queue.put(job)
+            self._queue.put((job, request))
         return job
 
     def submit_sweep(self, request: SweepRequest) -> Job:
         """Submit one sensitivity sweep (always queued; the engine
-        serves warm points from the cache internally)."""
+        serves warm points from the cache internally). Every grid point
+        is resolved here, so a bad axis or value queues nothing."""
+        from repro.core.experiments import get_experiment
         from repro.sweep import get_sweep
 
         try:
             spec = get_sweep(request.spec).with_axes(request.axes or None)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
+            spec.grid(get_experiment(spec.exp_id).config)
+        except (KeyError, ValueError, TypeError) as exc:
+            raise SchemaError(str(exc.args[0] if exc.args else exc)) from exc
 
         job = Job(
             job_id=spec.grid_key(),
@@ -390,15 +389,12 @@ class JobQueue:
             item = self._queue.get()
             if item is _STOP:
                 return
-            if isinstance(item, tuple):
-                job, request = item
-            else:
-                job, request = item, None
+            job, request = item
             if not job.try_start():
                 continue  # failed by a drain, or displaced
             try:
                 if job.kind == "run":
-                    self._execute_run(job)
+                    self._execute_run(job, request)
                 else:
                     self._execute_sweep(job, request)
             except Exception as exc:  # noqa: BLE001 - jobs report, not crash
@@ -414,21 +410,12 @@ class JobQueue:
                 else 0.8 * self._avg_seconds + 0.2 * elapsed
             )
 
-    def _execute_run(self, job: Job) -> None:
-        from repro.runner.api import resolve_config
-
-        request = RunRequest(
-            exp_id=job.params["experiment"],
-            overrides=job.params.get("overrides") or {},
-            force=bool(job.params.get("force")),
-        )
-        config = resolve_config(request.exp_id, request.overrides or None)
-
+    def _execute_run(self, job: Job, request: RunRequest) -> None:
         # While this job sat in the queue a sweep point or a ``repro
         # run`` may have stored the record; serve it instead of
         # re-simulating.
         if not request.force:
-            warm = self.cache.load_jsonable(config.exp_id, job.job_id)
+            warm = self.cache.load_jsonable(request.exp_id, job.job_id)
             if warm is not None:
                 job.finish(warm, simulated=False)
                 return
@@ -438,14 +425,7 @@ class JobQueue:
         self._enforce_budget()
         job.finish(record.to_jsonable(), simulated=True)
 
-    def _execute_sweep(self, job: Job, request: Optional[SweepRequest]) -> None:
-        if request is None:
-            request = SweepRequest(
-                spec=job.params["spec"],
-                axes=job.params.get("axes") or {},
-                jobs=job.params.get("jobs"),
-                force=bool(job.params.get("force")),
-            )
+    def _execute_sweep(self, job: Job, request: SweepRequest) -> None:
         result = self.sweep_executor(request, self.cache)
         payload = result.to_jsonable() if hasattr(result, "to_jsonable") else result
         simulated = True

@@ -4,8 +4,9 @@ The service speaks plain JSON over two submission endpoints. This
 module owns the *structural* validation — required keys, types,
 unknown-key rejection with a did-you-mean — and returns small frozen
 request objects. Semantic validation (does the experiment exist, are
-the override keys real config fields) happens when the server resolves
-the request into an :class:`~repro.runner.config.ExperimentConfig`;
+the override keys real config fields, can the machine exist, for a
+sweep at every grid point) happens when the queue resolves the request
+into configs (:class:`~repro.runner.config.ExperimentConfig`) at submit;
 both layers raise :class:`SchemaError`, which the server maps to a
 ``400`` with the message in the body, so a curl user sees exactly the
 same error text a CLI user would.
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.runner.config import suggest
+from repro.runner.config import unknown
 
 
 class SchemaError(ValueError):
@@ -45,10 +46,7 @@ def _reject_unknown_keys(
 ) -> None:
     for key in data:
         if key not in known:
-            raise SchemaError(
-                f"unknown {what} field {key!r}{suggest(str(key), known)}; "
-                f"known: {sorted(known)}"
-            )
+            raise SchemaError(str(unknown(f"{what} field", key, known)))
 
 
 def _opt_bool(data: Mapping[str, Any], key: str, what: str) -> bool:

@@ -43,8 +43,9 @@ Experiment spec format (``specs/experiments/<id>.yaml``)::
 
 Validation happens at load time with the CLI's did-you-mean errors:
 unknown document keys, unknown experiments, unknown metrics, unknown
-named callables, and unknown axis/override names all fail loudly
-before any simulation. Search path for named specs:
+named callables, unknown axis/override names, and impossible values
+at any grid point (a sweep resolves every point's config) all fail
+loudly before any simulation. Search path for named specs:
 ``$REPRO_SPECS_DIR`` (if set), ``./specs/``, then the repository's
 shipped ``specs/`` directory; within one directory a duplicate id is
 an error, across directories the first hit wins.
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.runner.config import suggest
+from repro.runner.config import suggest, unknown
 from repro.sweep.spec import CrossoverSpec, SweepSpec
 
 #: Environment override for the spec search path (one directory).
@@ -100,10 +101,7 @@ def _reject_unknown_keys(
 ) -> None:
     for key in doc:
         if key not in known:
-            raise SpecError(
-                f"{where}: unknown key {key!r}{suggest(key, known)}; "
-                f"known: {sorted(known)}"
-            )
+            raise SpecError(f"{where}: {unknown('key', key, known)}")
 
 
 def _require(doc: Mapping[str, Any], key: str, where: str) -> Any:
@@ -174,10 +172,7 @@ def _parse_doc(path: Path) -> Dict[str, Any]:
 def _doc_kind(doc: Mapping[str, Any], where: str) -> str:
     kind = _require(doc, "kind", where)
     if kind not in KIND_DIRS:
-        raise SpecError(
-            f"{where}: unknown kind {kind!r}{suggest(kind, KIND_DIRS)}; "
-            f"known: {sorted(KIND_DIRS)}"
-        )
+        raise SpecError(f"{where}: {unknown('kind', kind, KIND_DIRS)}")
     return kind
 
 
@@ -185,10 +180,7 @@ def _known_experiment(exp_id: Any, where: str) -> str:
     from repro.core.experiments import EXPERIMENTS
 
     if not isinstance(exp_id, str) or exp_id not in EXPERIMENTS:
-        raise SpecError(
-            f"{where}: unknown experiment {exp_id!r}"
-            f"{suggest(exp_id, EXPERIMENTS)}; known: {sorted(EXPERIMENTS)}"
-        )
+        raise SpecError(f"{where}: {unknown('experiment', exp_id, EXPERIMENTS)}")
     return exp_id
 
 
@@ -196,7 +188,6 @@ def _build_sweep(doc: Mapping[str, Any], where: str) -> SweepSpec:
     from repro.core.experiments import get_experiment
     from repro.specs import library
     from repro.stats.metrics import METRICS
-    from repro.sweep.axes import axis_overrides
 
     _reject_unknown_keys(doc, _SWEEP_KEYS, where)
     spec_id = _require(doc, "id", where)
@@ -239,11 +230,7 @@ def _build_sweep(doc: Mapping[str, Any], where: str) -> SweepSpec:
     for name in raw_metrics:
         if name in METRICS or name in extra_names or name in derived_names:
             continue
-        known = sorted(set(METRICS) | extra_names)
-        raise SpecError(
-            f"{where}: unknown metric {name!r}{suggest(name, known)}; "
-            f"known: {known}"
-        )
+        raise SpecError(f"{where}: {unknown('metric', name, set(METRICS) | extra_names)}")
 
     crossovers: List[CrossoverSpec] = []
     for i, entry in enumerate(doc.get("crossovers") or []):
@@ -288,14 +275,11 @@ def _build_sweep(doc: Mapping[str, Any], where: str) -> SweepSpec:
     except ValueError as exc:
         raise SpecError(f"{where}: {exc}") from exc
 
-    # Resolve every axis name and the base overrides against the real
-    # experiment config, so a typo fails at load, not mid-sweep.
-    base_config = get_experiment(exp_id).config
+    # Resolve every grid point against the real experiment config, so a
+    # typo or an impossible value fails at load, not mid-sweep.
     try:
-        base_config.with_overrides(spec.base_overrides)
-        for axis, values in spec.axes:
-            axis_overrides(base_config, axis, values[0])
-    except ValueError as exc:
+        spec.grid(get_experiment(exp_id).config)
+    except (TypeError, ValueError) as exc:
         raise SpecError(f"{where}: {exc}") from exc
     return spec
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
-from repro.runner.config import suggest
+from repro.runner.config import unknown
 
 MetricFn = Callable[[Mapping[str, Any]], float]
 
@@ -98,10 +98,7 @@ def resolve_metric(
         return extra[name]
     if name in METRICS:
         return METRICS[name]
-    known = sorted(set(METRICS) | set(extra or ()))
-    raise ValueError(
-        f"unknown metric {name!r}{suggest(name, known)}; known: {known}"
-    )
+    raise unknown("metric", name, set(METRICS) | set(extra or ()))
 
 
 def derive_metrics(

@@ -3,8 +3,9 @@
 :func:`run_sweep` drives one :class:`~repro.sweep.spec.SweepSpec`
 through the runner harness:
 
-1. **Expand** the grid against the experiment's default config (axis
-   typos fail here, before any simulation).
+1. **Expand** the grid against the experiment's default config, each
+   point resolved to its config (axis typos and impossible values fail
+   here, before any simulation).
 2. **Serve warm points** from the on-disk
    :class:`~repro.runner.cache.ResultCache` — re-running an enlarged
    sweep only simulates the new points, and an immediate rerun
@@ -128,13 +129,9 @@ def run_sweep(
         axes = {axis: tuple(values) for axis, values in manifest["axes"]}
     spec = spec.with_axes(axes)
 
-    base_config = get_experiment(spec.exp_id).config
-    points = spec.grid(base_config)
-    configs = {}
+    points = spec.grid(get_experiment(spec.exp_id).config)
     for point in points:
-        config = base_config.with_overrides(point.overrides)
-        point.cache_key = cache_key(config)
-        configs[point.cache_key] = config
+        point.cache_key = cache_key(point.config)
 
     started = time.perf_counter()
     records: Dict[str, RunRecord] = {}
@@ -154,11 +151,7 @@ def run_sweep(
         if point.cache_key in records or point.cache_key in queued:
             note(point, records.get(point.cache_key), False)  # duplicate coords
             continue
-        hit = (
-            cache.load(configs[point.cache_key])
-            if use_cache and not force
-            else None
-        )
+        hit = cache.load(point.config) if use_cache and not force else None
         if hit is not None:
             records[point.cache_key] = hit
             note(point, hit, False)

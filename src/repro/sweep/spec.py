@@ -6,12 +6,14 @@ each point's run record (:mod:`repro.stats.metrics`), optional
 crossover probes, and a shape-check callable pinning the qualitative
 claim the sweep reproduces. :meth:`SweepSpec.grid` expands the axes
 into ordered :class:`SweepPoint`\\ s, each carrying the exact
-``with_overrides`` mapping the harness will run.
+``with_overrides`` mapping the harness will run and the config it
+resolves to.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import (
@@ -47,12 +49,15 @@ class CrossoverSpec:
 
 @dataclass
 class SweepPoint:
-    """One grid point: axis coordinates plus the resolved overrides."""
+    """One grid point: axis coordinates, the overrides, and the config."""
 
     coords: Dict[str, Any]
     overrides: Dict[str, Any]
     cache_key: str = ""
     metrics: Dict[str, float] = field(default_factory=dict)
+    #: The :class:`~repro.runner.config.ExperimentConfig` the overrides
+    #: resolve to.
+    config: Any = None
 
     def label(self) -> str:
         return ", ".join(f"{k}={v}" for k, v in self.coords.items())
@@ -123,34 +128,26 @@ class SweepSpec:
         """Expand the axes into ordered points (first axis outermost).
 
         ``base_config`` is the experiment's default
-        :class:`~repro.runner.config.ExperimentConfig`; axis names are
-        validated against it, so a typo fails here, before any
-        simulation.
+        :class:`~repro.runner.config.ExperimentConfig`. Every point is
+        resolved against it, so an unknown axis or an impossible value
+        raises :class:`ValueError` here, before any simulation.
         """
+        fragments = [
+            [(axis, value, axis_overrides(base_config, axis, value)) for value in values]
+            for axis, values in self.axes
+        ]
         points: List[SweepPoint] = []
-        first_axis, first_values = self.axes[0]
-        second = self.axes[1] if len(self.axes) == 2 else None
-        for v1 in first_values:
-            frag1 = axis_overrides(base_config, first_axis, v1)
-            if second is None:
-                points.append(
-                    SweepPoint(
-                        coords={first_axis: v1},
-                        overrides=merge_overrides(self.base_overrides, frag1),
-                    )
+        for combo in itertools.product(*fragments):
+            overrides = merge_overrides(
+                self.base_overrides, *(frag for _axis, _value, frag in combo)
+            )
+            points.append(
+                SweepPoint(
+                    coords={axis: value for axis, value, _frag in combo},
+                    overrides=overrides,
+                    config=base_config.with_overrides(overrides),
                 )
-                continue
-            second_axis, second_values = second
-            for v2 in second_values:
-                frag2 = axis_overrides(base_config, second_axis, v2)
-                points.append(
-                    SweepPoint(
-                        coords={first_axis: v1, second_axis: v2},
-                        overrides=merge_overrides(
-                            self.base_overrides, frag1, frag2
-                        ),
-                    )
-                )
+            )
         return points
 
     # -- identity ----------------------------------------------------------

@@ -134,6 +134,8 @@ def test_bad_cluster_size_rejected():
 @pytest.mark.parametrize(
     "name, least",
     [
+        ("num_processors", 1),
+        ("tlb_entries", 1),
         ("cache_assoc", 1),
         ("block_bytes", 1),
         ("network_latency", 0),
@@ -150,3 +152,20 @@ def test_impossible_machine_values_rejected(name, least):
     # The least legal value builds: a zero cycle count is a free cost
     # (em3d-latency sweeps net_latency=0), not an impossible one.
     assert getattr(CommonParams(**{name: least}), name) == least
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("num_processors", 0),
+        ("cache_bytes", 0),
+        ("tlb_entries", 0),
+        ("page_bytes", 0),
+        ("num_processors", "2"),
+    ],
+)
+def test_impossible_machine_sizes_rejected(name, value):
+    """A machine with no processors, a zero-byte cache or page, or no TLB
+    cannot exist; a count must be an int (a worker divides by it)."""
+    with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value!r}"):
+        CommonParams(**{name: value})

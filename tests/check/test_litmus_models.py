@@ -146,6 +146,19 @@ def test_unknown_consistency_argument_raises():
         run_litmus(_BY_NAME["sb_store_buffering"], consistency="tsso")
 
 
+def test_empty_seed_pool_raises():
+    """A verdict over zero runs proves nothing, for one shape, the
+    suite, and the matrix alike."""
+    from repro.check.litmus import run_suite
+
+    with pytest.raises(ValueError, match="empty seed pool"):
+        run_litmus(_BY_NAME["sb_store_buffering"], seeds=())
+    with pytest.raises(ValueError, match="empty seed pool"):
+        run_suite(seeds=())
+    with pytest.raises(ValueError, match="empty seed pool"):
+        run_matrix(seeds=())
+
+
 # -- the whole matrix -----------------------------------------------------
 
 

@@ -112,6 +112,32 @@ def test_check_unknown_consistency_is_usage_error(capsys):
     assert "did you mean 'tso'" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--litmus", "--litmus-seeds", "0"], "--litmus-seeds must be >= 1, got 0"),
+        (["--matrix", "--litmus-seeds", "0"], "--litmus-seeds must be >= 1, got 0"),
+        (["--stress", "0"], "--stress must be >= 1, got 0"),
+        (["--stress", "20", "--nprocs", "3"], "--nprocs must be even and >= 2, got 3"),
+        (["--stress", "20", "--nprocs", "0"], "--nprocs must be even and >= 2, got 0"),
+    ],
+    ids=["litmus-no-seeds", "matrix-no-seeds", "stress-no-ops", "odd-nprocs",
+         "no-nprocs"],
+)
+def test_check_refuses_a_budget_that_checks_nothing(capsys, argv, message):
+    """A gate that ran nothing must not pass: usage error, nothing run."""
+    assert main(["check", *argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "[PASS]" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_unknown_experiment_suggests(capsys, command):
+    assert main([command, "em3"]) == 2
+    assert "did you mean 'em3d'" in capsys.readouterr().err
+
+
 def test_run_unknown_consistency_is_usage_error(capsys):
     assert main(["run", "validation", "--consistency", "sq"]) == 2
     err = capsys.readouterr().err

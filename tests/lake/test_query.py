@@ -34,6 +34,27 @@ def test_unknown_metric_suggests(lake):
         query_runs(lake, QueryFilters(metrics=("sm_over_mpp",)))
 
 
+@pytest.mark.parametrize(
+    "filters, suggestion",
+    [
+        ({"app": "em3dd"}, "did you mean 'em3d'"),
+        ({"preset": "multicre"}, "did you mean 'multicore'"),
+        ({"consistency": "tsso"}, "did you mean 'tso'"),
+    ],
+)
+def test_api_query_refuses_a_filter_no_row_could_match(lake, filters, suggestion):
+    """api.query refuses what `repro query` refuses, instead of []."""
+    from repro import api
+
+    with pytest.raises(ValueError, match=suggestion):
+        api.query(lake=lake, **filters)
+
+
+def test_preset_filter_accepts_the_lake_only_presets(lake):
+    for preset in ("custom", "unknown"):
+        assert query_runs(lake, QueryFilters(preset=preset)) == []
+
+
 def test_stale_rows_hidden_by_default_visible_with_all_salts(lake, monkeypatch):
     ingest_salt = cache_mod.CODE_SALT
     monkeypatch.setattr(cache_mod, "CODE_SALT", "repro-runner-vNEXT")

@@ -191,3 +191,32 @@ def test_preset_override_flows_through_machine_params():
     assert tuned.machine_params().common.dram_cycles == (
         MachineParams.multicore().common.dram_cycles
     )
+
+
+def test_impossible_machine_rejected_where_the_config_is_built():
+    """A config that exists can run: an impossible machine fails at
+    resolution, not in a worker."""
+    from repro.runner.api import resolve_config
+
+    with pytest.raises(ValueError, match="num_processors must be >= 1, got 0"):
+        resolve_config("validation", {"procs": 0})
+    with pytest.raises(ValueError, match="cache_bytes must be >= 1, got 0"):
+        ExperimentConfig(exp_id="x", cache_bytes=0)
+
+
+def test_unknown_experiment_suggests():
+    from repro.core.experiments import get_experiment
+
+    with pytest.raises(KeyError, match="did you mean 'em3d'"):
+        get_experiment("em3")
+
+
+def test_unknown_builds_the_did_you_mean_error():
+    from repro.runner.config import unknown
+
+    error = unknown("preset", "multicre", ("paper", "multicore", "cluster"))
+    assert isinstance(error, ValueError)
+    assert str(error) == (
+        "unknown preset 'multicre' (did you mean 'multicore'?); "
+        "known: ['cluster', 'multicore', 'paper']"
+    )

@@ -214,6 +214,40 @@ class TestErrors:
         assert status == 400
         assert message in body["error"]
 
+    @pytest.mark.parametrize(
+        "path, body, message",
+        [
+            ("/v1/sweeps", {"spec": "em3d-latency", "axes": {"net_latncy": [0]}},
+             "unknown sweep axis 'net_latncy' for em3d "
+             "(did you mean 'net_latency'?)"),
+            ("/v1/sweeps", {"spec": "em3d-latency", "axes": {"net_latency": [-50]}},
+             "network_latency must be >= 0, got -50"),
+            ("/v1/sweeps", {"spec": "em3d-latency", "axes": {"procs": [0]}},
+             "num_processors must be >= 1, got 0"),
+            ("/v1/runs", {"experiment": "validation", "overrides": {"procs": 0}},
+             "num_processors must be >= 1, got 0"),
+            ("/v1/runs", {"experiment": "validation", "overrides": {"procs": "x"}},
+             "num_processors must be >= 1, got 'x'"),
+            ("/v1/runs", {"experiment": "validation", "overrides": {"cache_bytes": 0}},
+             "cache_bytes must be >= 1, got 0"),
+            ("/v1/runs", {"experiment": "em3"}, "(did you mean 'em3d'?)"),
+        ],
+        ids=["sweep-axis-typo", "sweep-negative-latency", "sweep-zero-procs",
+             "run-zero-procs", "run-string-procs", "run-zero-cache",
+             "run-experiment-typo"],
+    )
+    def test_unrunnable_request_400_and_nothing_queued(
+        self, server, path, body, message
+    ):
+        """A request that cannot become a runnable config — at any sweep
+        point — is refused at submit; no job is queued."""
+        _status, before = get(server, "/v1/jobs")
+        status, answer = post(server, path, body)
+        assert status == 400
+        assert message in answer["error"]
+        _status, after = get(server, "/v1/jobs")
+        assert after["jobs"] == before["jobs"]
+
     def test_malformed_json_400(self, server):
         request = urllib.request.Request(
             server.url + "/v1/runs",

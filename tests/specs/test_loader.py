@@ -93,6 +93,18 @@ def test_unknown_axis_fails_at_load_not_mid_sweep(tmp_path):
         load_spec_file(path)
 
 
+def test_impossible_axis_value_fails_at_load(tmp_path, monkeypatch):
+    """Every grid point is resolved at load, not only each axis's first
+    value: a negative latency later in the list names the file."""
+    doc = TINY_SWEEP.format(id="bad-latency").replace("[0, 50]", "[0, -50]")
+    path = _write(tmp_path, "bad.yaml", doc)
+    monkeypatch.setenv("REPRO_SPECS_DIR", str(tmp_path))
+    with pytest.raises(
+        SpecError, match=f"{path}: network_latency must be >= 0, got -50"
+    ):
+        load_spec("bad-latency")
+
+
 def test_invalid_yaml_syntax_names_the_file(tmp_path):
     path = _write(tmp_path, "t.yaml", "kind: [unclosed\n")
     with pytest.raises(SpecError, match="invalid YAML"):

@@ -122,6 +122,27 @@ def test_sweep_resume_flag_without_manifest_exits_2(tiny_sweep, capsys):
     assert "nothing to resume" in capsys.readouterr().err
 
 
+def test_sweep_glob_resolves_every_spec_before_any_runs(capsys):
+    """An --axis that one spec of a --glob batch cannot take is a usage
+    error before the first spec simulates anything."""
+    from repro.runner.cache import ResultCache
+
+    assert main(["sweep", "--glob", "specs/sweeps/*.yaml",
+                 "--axis", "nodes_per_proc=10", "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown sweep axis 'nodes_per_proc' for gauss" in err
+    assert "[1/" not in err
+    assert ResultCache().stats()["records"] == 0
+
+
+def test_sweep_impossible_axis_value_exits_2_before_any_point(capsys):
+    assert main(["sweep", "em3d-latency", "--axis", "procs=0",
+                 "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "num_processors must be >= 1, got 0" in err
+    assert "[1/" not in err
+
+
 def test_sweep_help_lists_shared_flags():
     import argparse
 

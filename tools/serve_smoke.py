@@ -21,7 +21,10 @@ the background; locally: ``python -m repro serve --port 8737 &``):
    HTTP/1.1 request desync from undrained bodies;
 7. send back-to-back warm reads over one persistent connection and
    require their median under a budget — guards against the ~40 ms
-   per-request stall of a server that leaves Nagle's algorithm on.
+   per-request stall of a server that leaves Nagle's algorithm on;
+8. submit a sweep with an impossible axis value and a run with no
+   processors, and require a ``400`` for each with no new job in
+   ``GET /v1/jobs`` — bad input is refused before anything is queued.
 
 Exit code 0 on success, 1 on any violated expectation (with a message
 on stderr). Stdlib only — usable from CI, cron, or a shell.
@@ -179,6 +182,38 @@ def check_warm_keepalive(url: str, body: dict) -> list:
     return []
 
 
+#: Requests that cannot become a runnable config: each must be refused
+#: at submit (``400``) and queue nothing.
+UNRUNNABLE = (
+    ("/v1/sweeps", {"spec": "em3d-latency", "axes": {"net_latency": [-50]}}),
+    ("/v1/runs", {"experiment": "validation", "overrides": {"procs": 0}}),
+)
+
+
+def check_refused_before_queueing(url: str) -> list:
+    """Unrunnable requests get a 400 and leave the job list unchanged."""
+    failures = []
+    _status, before = get(url, "/v1/jobs")
+    for path, body in UNRUNNABLE:
+        try:
+            status, answer = post(url, path, body)
+        except urllib.error.HTTPError as error:
+            status, answer = error.code, json.loads(error.read())
+        if status != 400:
+            failures.append(f"unrunnable {path} {body}: HTTP {status} "
+                            f"(expected 400) body={answer}")
+    _status, after = get(url, "/v1/jobs")
+    new = {job["job_id"] for job in after["jobs"]} - {
+        job["job_id"] for job in before["jobs"]
+    }
+    if new:
+        failures.append(f"unrunnable requests queued jobs: {sorted(new)}")
+    if not failures:
+        print(f"refused: {len(UNRUNNABLE)} unrunnable requests got 400, "
+              "no job queued")
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--url", default="http://127.0.0.1:8737",
@@ -234,6 +269,7 @@ def main(argv=None) -> int:
     failures.extend(check_long_poll(url, job["job_id"]))
     failures.extend(check_keepalive(url, body))
     failures.extend(check_warm_keepalive(url, body))
+    failures.extend(check_refused_before_queueing(url))
 
     status, health = get(url, "/healthz")
     if health["queue"]["jobs"]["failed"]:
