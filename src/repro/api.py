@@ -152,7 +152,7 @@ def sweep(
 
     ``axes`` replaces (or appends) axis value lists; remaining keyword
     arguments pass through to :func:`repro.sweep.run_sweep`
-    (``jobs``, ``cache``, ``force``, ``resume``, ``progress``, ...).
+    (``jobs``, ``cache``, ``use_cache``, ``force``, ``progress``).
     """
     if isinstance(spec, str):
         spec = get_sweep(spec)

@@ -1,11 +1,9 @@
-"""Write buffering: the paper's infinite buffer plus relaxed store buffers.
+"""Store buffers for the relaxed memory models.
 
-Both machines drain dirty *private* lines through an infinite write
-buffer at a cost of 1 cycle; the shared-memory machine bypasses the
-buffer for shared lines to preserve consistency (5 cycles clean,
-13 cycles dirty, per Table 3). The buffer never fills, so it is pure
-accounting — retained as a distinct component for fidelity and for the
-event counts it provides.
+(The paper's infinite write buffer, which drains a dirty private line
+in one cycle, is a cost in the machine tables:
+``MpParams.replacement_cycles`` and
+``SmParams.replacement_private_cycles``.)
 
 The relaxed-consistency extension (``consistency="tso"|"pc"``) puts a
 *semantic* per-processor store buffer in front of the Dir_nNB protocol:
@@ -31,21 +29,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-
-
-class WriteBuffer:
-    """Accounting model of an infinite write buffer."""
-
-    def __init__(self, drain_cycles: int = 1) -> None:
-        self.drain_cycles = drain_cycles
-        self.entries_accepted = 0
-        self.bytes_accepted = 0
-
-    def accept(self, nbytes: int) -> int:
-        """Buffer a dirty private line; returns the cycle cost (constant)."""
-        self.entries_accepted += 1
-        self.bytes_accepted += nbytes
-        return self.drain_cycles
 
 
 class PendingStore:

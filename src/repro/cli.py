@@ -24,7 +24,7 @@ Commands:
   invariant checker installed (in-process, cache bypassed), proving a
   record was produced by a violation-free simulation;
 * ``python -m repro sweep <spec> [--axis k=v1,v2,... --jobs N --json
-  PATH --csv PATH --force --resume]`` — a declarative sensitivity
+  PATH --csv PATH --force]`` — a declarative sensitivity
   sweep (``repro.sweep``): grid expansion, cache-aware sharded
   execution, ASCII curve plots, crossover detection, and the spec's
   machine-checked shape assertions;
@@ -323,7 +323,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _run_one_sweep(spec, axes, args: argparse.Namespace, multi: bool = False) -> int:
     from repro.sweep import render_plots, run_sweep
 
+    delivered = {}  # the point records, for --lake
+
     def progress(done, total, point, record, simulated):
+        delivered[record.cache_key] = record
         source = f"{record.elapsed_seconds:.1f}s" if simulated else "cached"
         print(f"[{done}/{total}] {spec.exp_id}({point.label()}) ({source})",
               file=sys.stderr, flush=True)
@@ -335,10 +338,9 @@ def _run_one_sweep(spec, axes, args: argparse.Namespace, multi: bool = False) ->
             jobs=args.jobs,
             use_cache=not args.no_cache,
             force=args.force,
-            resume=args.resume,
             progress=progress,
         )
-    except (ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:
         print(f"repro sweep: error: {exc}", file=sys.stderr)
         return 2
 
@@ -367,12 +369,13 @@ def _run_one_sweep(spec, axes, args: argparse.Namespace, multi: bool = False) ->
         from repro.lake import RunLake
 
         with RunLake(args.lake_path) as lake:
-            added_sweep = lake.ingest_sweep(result)
-            added_points = lake.ingest_sweep_cache_records(result)
+            added = sum(
+                bool(lake.ingest_record(record))
+                for record in delivered.values()
+            )
             print(
-                f"lake {lake.path}: sweep "
-                f"{'ingested' if added_sweep else 'already present'}, "
-                f"{added_points} new point record(s)",
+                f"lake {lake.path}: {added} new of {len(delivered)} "
+                "point record(s) ingested",
                 file=sys.stderr,
             )
 
@@ -876,9 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="replace (or add) an axis value list, "
                                    "e.g. --axis net_latency=0,50,100; "
                                    "repeatable")
-    sweep_parser.add_argument("--resume", action="store_true",
-                              help="pick the spec's most recent manifest "
-                                   "back up (reuses its axes)")
     sweep_parser.set_defaults(handler=cmd_sweep)
 
     bench_parser = subparsers.add_parser(

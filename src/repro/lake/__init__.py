@@ -1,9 +1,9 @@
 """The queryable run lake (sqlite, stdlib-only, append-only).
 
-Every :class:`~repro.runner.record.RunRecord` and
-:class:`~repro.sweep.result.SweepResult` can land here — opt-in via
-``repro run/sweep --lake``, or backfilled from a warm result cache
-with ``repro lake ingest``. Rows are keyed by the content-addressed
+Every :class:`~repro.runner.record.RunRecord` can land here — opt-in
+via ``repro run --lake`` (or ``repro sweep --lake``, which lands each
+point's record), or backfilled from a warm result cache with ``repro
+lake ingest``. Rows are keyed by the content-addressed
 cache key (re-ingest adds zero rows) and carry full
 salt/backend/consistency/preset provenance, so ``repro query`` can
 compare cycle breakdowns across presets and code versions without
@@ -33,7 +33,6 @@ from repro.lake.store import (
     default_lake_path,
     infer_preset,
     record_metrics,
-    sweep_identity_key,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "record_metrics",
     "render_rows",
     "rows_to_csv",
-    "sweep_identity_key",
 ]

@@ -1,4 +1,4 @@
-"""The run lake: an append-only sqlite store over RunRecords/SweepResults.
+"""The run lake: an append-only sqlite store over RunRecords.
 
 The result cache answers "have I run this exact config under the
 current code salt?"; the lake answers the *longitudinal* questions the
@@ -21,8 +21,9 @@ Layout (schema v1):
   registry metric (:mod:`repro.stats.metrics`) plus the raw per-side
   cycle-breakdown components (``mp_computation``, ``sm_data_access``,
   ...), one row per ``(cache_key, name)``.
-* ``sweeps`` / ``sweep_points`` — SweepResults keyed by a digest of
-  their identity (spec + grid + point keys; ``meta`` timing excluded).
+
+A sweep lands as its point records (``repro sweep --lake``); older
+lakes keep two sweep tables that nothing reads.
 
 The default location is ``lake.sqlite`` next to the result cache
 (honouring ``REPRO_CACHE_DIR``), overridable with ``REPRO_LAKE_PATH``
@@ -31,7 +32,6 @@ or an explicit ``--lake-path``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sqlite3
@@ -48,7 +48,6 @@ from repro.runner.cache import (
     record_is_fresh,
 )
 from repro.runner.record import RunRecord
-from repro.sweep.result import SweepResult
 
 #: Environment override for the lake file location.
 ENV_LAKE_PATH = "REPRO_LAKE_PATH"
@@ -88,25 +87,6 @@ CREATE TABLE IF NOT EXISTS metrics (
     name      TEXT NOT NULL,
     value     REAL NOT NULL,
     PRIMARY KEY (cache_key, name)
-);
-CREATE TABLE IF NOT EXISTS sweeps (
-    sweep_key   TEXT PRIMARY KEY,
-    spec_name   TEXT NOT NULL,
-    exp_id      TEXT NOT NULL,
-    points      INTEGER NOT NULL,
-    all_ok      INTEGER NOT NULL,
-    salt        TEXT NOT NULL,
-    version     TEXT NOT NULL,
-    ingested_at REAL NOT NULL,
-    result_json TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS sweep_points (
-    sweep_key    TEXT NOT NULL,
-    point_index  INTEGER NOT NULL,
-    cache_key    TEXT NOT NULL,
-    coords_json  TEXT NOT NULL,
-    metrics_json TEXT NOT NULL,
-    PRIMARY KEY (sweep_key, point_index)
 );
 """
 
@@ -187,15 +167,8 @@ def record_metrics(summary: Mapping[str, Any]) -> Dict[str, float]:
     return out
 
 
-def sweep_identity_key(result: SweepResult) -> str:
-    """Content address of one sweep result (``meta`` timing excluded)."""
-    data = result.to_jsonable()
-    data.pop("meta", None)
-    return hashlib.sha256(_canonical(data).encode("utf-8")).hexdigest()
-
-
 class RunLake:
-    """Append-only sqlite store of run and sweep facts.
+    """Append-only sqlite store of run facts.
 
     Usable as a context manager; all ingest methods are idempotent
     (content-addressed primary keys + ``INSERT OR IGNORE``), so
@@ -290,48 +263,6 @@ class RunLake:
         self._conn.commit()
         return added
 
-    def ingest_sweep(self, result: SweepResult) -> bool:
-        """Add one sweep result; returns True when a new row was added."""
-        from repro import __version__
-
-        key = sweep_identity_key(result)
-        data = result.to_jsonable()
-        data.pop("meta", None)
-        cursor = self._conn.execute(
-            "INSERT OR IGNORE INTO sweeps (sweep_key, spec_name, exp_id,"
-            " points, all_ok, salt, version, ingested_at, result_json)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                key,
-                result.spec_name,
-                result.exp_id,
-                len(result.points),
-                int(result.all_ok),
-                CODE_SALT,
-                str(__version__),
-                time.time(),
-                _canonical(data),
-            ),
-        )
-        added = cursor.rowcount > 0
-        if added:
-            self._conn.executemany(
-                "INSERT OR IGNORE INTO sweep_points (sweep_key, point_index,"
-                " cache_key, coords_json, metrics_json) VALUES (?, ?, ?, ?, ?)",
-                [
-                    (
-                        key,
-                        i,
-                        str(point.get("cache_key", "")),
-                        _canonical(point.get("coords", {})),
-                        _canonical(point.get("metrics", {})),
-                    )
-                    for i, point in enumerate(result.points)
-                ],
-            )
-        self._conn.commit()
-        return added
-
     def ingest_cache(
         self, cache: Optional[ResultCache] = None
     ) -> Tuple[int, int]:
@@ -343,32 +274,11 @@ class RunLake:
             added += bool(self.ingest_record(record))
         return added, seen
 
-    def ingest_sweep_cache_records(
-        self, result: SweepResult, cache: Optional[ResultCache] = None
-    ) -> int:
-        """Ingest the per-point RunRecords behind one sweep result.
-
-        The sweep engine writes every point's record into the result
-        cache; this pulls the ones belonging to ``result`` (matched by
-        point cache key) into the lake, so ``repro sweep --lake`` lands
-        both the sweep-level curve and the row-level breakdowns.
-        """
-        cache = cache if cache is not None else ResultCache()
-        wanted = {
-            str(point.get("cache_key", "")) for point in result.points
-        }
-        wanted.discard("")
-        added = 0
-        for _path, record in cache.entries():
-            if record.cache_key in wanted:
-                added += bool(self.ingest_record(record))
-        return added
-
     # -- accounting --------------------------------------------------------
 
     def counts(self) -> Dict[str, int]:
         out = {}
-        for table in ("runs", "metrics", "sweeps", "sweep_points"):
+        for table in ("runs", "metrics"):
             row = self._conn.execute(
                 f"SELECT COUNT(*) AS n FROM {table}"
             ).fetchone()

@@ -14,6 +14,10 @@
 * :func:`execute` — the fan-out driver behind ``python -m repro run``:
   cache lookups, dependency-aware grouping, multiprocessing, progress
   reporting, and cache write-back.
+
+Both, and the sweep engine, go through :func:`run_cached`: the one
+loop that serves cache hits, runs each distinct miss once and stores
+each record as it arrives.
 """
 
 from __future__ import annotations
@@ -22,11 +26,13 @@ import gc
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Set
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set,
+)
 
 from repro.runner.cache import ResultCache, cache_key
 from repro.runner.config import ExperimentConfig
-from repro.runner.executor import default_jobs, plan_groups, run_group, run_parallel
+from repro.runner.executor import WorkItem, default_jobs, plan_groups, run_parallel
 from repro.runner.record import SHAPE_CONFIG, RunRecord
 
 #: In-process memo of raw results, keyed by the content address. Raw
@@ -128,6 +134,56 @@ def memo_scope() -> Iterator[None]:
             gc.collect()
 
 
+def run_cached(
+    items: Sequence[WorkItem],
+    plan: Callable[[List[WorkItem]], List[List[WorkItem]]],
+    jobs: int = 1,
+    cache: Optional[ResultCache] = None,
+    use_cache: bool = True,
+    force: bool = False,
+    progress: Optional[Callable[[RunRecord, bool], None]] = None,
+) -> Dict[str, RunRecord]:
+    """The one cache-first loop behind :func:`execute`, :func:`record_for`
+    and :func:`~repro.sweep.engine.run_sweep`.
+
+    Serves each item from the disk cache when it can, queues each
+    distinct miss once, runs the ``plan`` of the misses over up to
+    ``jobs`` workers, and stores every record as it arrives, so an
+    interrupted run keeps its finished work and a rerun of the same
+    call simulates only what is missing. ``progress(record, simulated)``
+    is called once per distinct record. Returns records keyed by cache
+    key.
+    """
+    cache = cache if cache is not None else ResultCache()
+    records: Dict[str, RunRecord] = {}
+    queued: Set[str] = set()
+    to_run: List[WorkItem] = []
+    for exp_id, overrides in items:
+        config = resolve_config(exp_id, overrides)
+        key = cache_key(config)
+        if key in records or key in queued:
+            continue
+        hit = cache.load(config) if use_cache and not force else None
+        if hit is not None:
+            records[key] = hit
+            if progress is not None:
+                progress(hit, False)
+        else:
+            queued.add(key)
+            to_run.append((exp_id, overrides))
+
+    def collect(record: RunRecord) -> None:
+        records[record.cache_key] = record
+        if use_cache:
+            cache.store(record)
+        if progress is not None:
+            progress(record, True)
+
+    if to_run:
+        run_parallel(plan(to_run), jobs=jobs, progress=collect)
+    return records
+
+
 def record_for(
     exp_id: str,
     overrides: Optional[Mapping[str, Any]] = None,
@@ -137,19 +193,14 @@ def record_for(
 ) -> RunRecord:
     """One experiment's record: disk cache first, then an in-process run.
 
-    The run is a group of one (:func:`~repro.runner.executor.run_group`),
-    so unless a :func:`memo_scope` is already open, the raw results it
-    memoizes are released before this returns.
+    The run is a group of one, so unless a :func:`memo_scope` is
+    already open, the raw results it memoizes are released before this
+    returns.
     """
-    config = resolve_config(exp_id, overrides)
-    cache = cache if cache is not None else ResultCache()
-    if use_cache and not force:
-        hit = cache.load(config)
-        if hit is not None:
-            return hit
-    (record,) = run_group([(exp_id, overrides)])
-    if use_cache:
-        cache.store(record)
+    (record,) = run_cached(
+        [(exp_id, overrides)], lambda items: [items], cache=cache,
+        use_cache=use_cache, force=force,
+    ).values()
     return record
 
 
@@ -170,33 +221,15 @@ def execute(
     worker delivers them. Returns records keyed by exp_id, in the
     requested order.
     """
-    jobs = default_jobs() if jobs is None else max(1, jobs)
-    cache = cache if cache is not None else ResultCache()
     overrides = overrides or {}
-
-    records: Dict[str, RunRecord] = {}
-    to_run = []
-    for exp_id in exp_ids:
-        config = resolve_config(exp_id, overrides.get(exp_id))
-        hit = cache.load(config) if use_cache and not force else None
-        if hit is not None:
-            records[exp_id] = hit
-            if progress is not None:
-                progress(hit)
-        else:
-            to_run.append((exp_id, overrides.get(exp_id)))
-
-    if to_run:
-
-        def collect(record: RunRecord) -> None:
-            # Write back as each record arrives: an interrupted --all
-            # keeps its finished experiments.
-            records[record.exp_id] = record
-            if use_cache:
-                cache.store(record)
-            if progress is not None:
-                progress(record)
-
-        run_parallel(plan_groups(to_run), jobs=jobs, progress=collect)
-
-    return OrderedDict((exp_id, records[exp_id]) for exp_id in exp_ids)
+    records = run_cached(
+        [(exp_id, overrides.get(exp_id)) for exp_id in exp_ids],
+        plan_groups,
+        jobs=default_jobs() if jobs is None else max(1, jobs),
+        cache=cache,
+        use_cache=use_cache,
+        force=force,
+        progress=None if progress is None else lambda record, _sim: progress(record),
+    )
+    by_exp = {record.exp_id: record for record in records.values()}
+    return OrderedDict((exp_id, by_exp[exp_id]) for exp_id in exp_ids)

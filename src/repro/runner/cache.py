@@ -232,7 +232,7 @@ class ResultCache:
         return out
 
     def total_bytes(self) -> int:
-        """Bytes currently held by record files (sweeps/traces excluded)."""
+        """Bytes currently held by record files (traces excluded)."""
         return sum(entry.bytes for entry in self.index())
 
     def stats(self) -> Dict[str, Any]:

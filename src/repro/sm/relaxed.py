@@ -42,12 +42,15 @@ from typing import Generator, Optional, Sequence
 import numpy as np
 
 from repro.arch.cache import LineState
-from repro.arch.write_buffer import StoreBuffer, WriteBuffer
+from repro.arch.write_buffer import StoreBuffer
 from repro.memory.dataspace import Region, Segment
 from repro.sim.events import Gate, SimEvent
 from repro.sim.process import Process, Wait, delay_of
 from repro.sm.api import SmContext
 from repro.stats.categories import SmCat
+
+#: Cycles the processor spends retiring one store into the buffer.
+RETIRE_CYCLES = 1
 
 #: Cycles a store sits in the TSO buffer before its commit transaction
 #: may issue. Comparable to a remote-miss latency: long enough that a
@@ -81,7 +84,6 @@ class RelaxedSmContext(SmContext):
             rng=machine.rngs.stream(f"sm.storebuf.{pid}") if relaxed else None,
             delay_bands=PC_DRAIN_BANDS if relaxed else TSO_DRAIN_BANDS,
         )
-        self.write_buffer = WriteBuffer()
         # Blocks with a program-side coherence transaction in flight;
         # the drain defers its own transaction on such a block so its
         # cache-state decision is never made against a moving line.
@@ -138,10 +140,9 @@ class RelaxedSmContext(SmContext):
                 f"(size {region.np.size})"
             )
         self.store_buffer.push_range(region, start, values, self.engine.now)
-        cost = self.write_buffer.accept((stop - start) * region.itemsize)
         self.stats.count("sb_stores")
-        self.stats.charge(SmCat.COMPUTE, cost)
-        yield delay_of(cost)
+        self.stats.charge(SmCat.COMPUTE, RETIRE_CYCLES)
+        yield delay_of(RETIRE_CYCLES)
         self.drain.kick()
 
     def write_scatter(
@@ -155,10 +156,9 @@ class RelaxedSmContext(SmContext):
             np.broadcast_to(np.asarray(values, dtype=region.np.dtype), idx.shape)
         )
         self.store_buffer.push_scatter(region, idx, vals, self.engine.now)
-        cost = self.write_buffer.accept(idx.size * region.itemsize)
         self.stats.count("sb_stores")
-        self.stats.charge(SmCat.COMPUTE, cost)
-        yield delay_of(cost)
+        self.stats.charge(SmCat.COMPUTE, RETIRE_CYCLES)
+        yield delay_of(RETIRE_CYCLES)
         self.drain.kick()
 
     # -- forwarding loads --------------------------------------------------

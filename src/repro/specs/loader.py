@@ -308,35 +308,32 @@ def _build_experiment(doc: Mapping[str, Any], where: str) -> ExperimentSpecDoc:
     return spec
 
 
+def _load(path: Path) -> Tuple[Union[SweepSpec, ExperimentSpecDoc], Dict[str, Any]]:
+    """One spec file, parsed once: the validated spec and its document."""
+    doc = _parse_doc(path)
+    if _doc_kind(doc, str(path)) == "sweep":
+        return _build_sweep(doc, str(path)), doc
+    return _build_experiment(doc, str(path)), doc
+
+
 def load_spec_file(path: Union[str, os.PathLike]) -> Union[SweepSpec, ExperimentSpecDoc]:
     """Load and validate one YAML spec file (either kind)."""
-    path = Path(path)
-    doc = _parse_doc(path)
-    kind = _doc_kind(doc, str(path))
-    if kind == "sweep":
-        return _build_sweep(doc, str(path))
-    return _build_experiment(doc, str(path))
+    return _load(Path(path))[0]
 
 
 def spec_info(path: Union[str, os.PathLike]) -> SpecInfo:
     """Listing metadata for one spec file (validates it fully)."""
     path = Path(path)
-    spec = load_spec_file(path)
-    doc = _parse_doc(path)
+    spec, doc = _load(path)
     if isinstance(spec, SweepSpec):
-        return SpecInfo(
-            id=spec.name,
-            kind="sweep",
-            experiment=spec.exp_id,
-            category=str(doc.get("category", "")),
-            description=spec.description,
-            path=str(path),
-        )
+        spec_id, kind, experiment = spec.name, "sweep", spec.exp_id
+    else:
+        spec_id, kind, experiment = spec.id, "experiment", spec.experiment
     return SpecInfo(
-        id=spec.id,
-        kind="experiment",
-        experiment=spec.experiment,
-        category=spec.category,
+        id=spec_id,
+        kind=kind,
+        experiment=experiment,
+        category=str(doc.get("category", "")),
         description=spec.description,
         path=str(path),
     )

@@ -22,9 +22,9 @@ from repro.sweep.axes import (
     parse_axis_flag,
     parse_axis_value,
 )
-from repro.sweep.engine import latest_manifest, result_path, run_sweep
+from repro.sweep.engine import run_sweep
 from repro.sweep.plot import render_plot, render_plots
-from repro.sweep.result import SWEEP_SCHEMA, SweepResult, load_result
+from repro.sweep.result import SWEEP_SCHEMA, SweepResult
 from repro.sweep.spec import CrossoverSpec, SweepPoint, SweepSpec
 
 
@@ -54,15 +54,12 @@ __all__ = [
     "find_crossover",
     "get_sweep",
     "known_axes",
-    "latest_manifest",
-    "load_result",
     "merge_overrides",
     "monotone",
     "parse_axis_flag",
     "parse_axis_value",
     "render_plot",
     "render_plots",
-    "result_path",
     "run_sweep",
     "speedup_vs_first",
 ]

@@ -5,8 +5,8 @@ axis coordinates, each point's derived metrics and cache key, the
 crossover verdicts, and the sweep-level shape checks. Everything is
 plain JSON-safe data — re-printable, exportable, and comparable
 without touching a simulator. Timing and cache-hit accounting live
-under ``meta``: two runs of the same grid (interrupted-and-resumed or
-not) produce identical results outside ``meta``.
+under ``meta``: two runs of the same grid (one interrupted and rerun,
+or not) produce identical results outside ``meta``.
 """
 
 from __future__ import annotations
@@ -148,10 +148,3 @@ def _fmt(value: Any) -> str:
         return f"{value:.4g}"
     return str(value)
 
-
-def load_result(path: Any) -> SweepResult:
-    """Read a stored sweep result back (tools and tests)."""
-    import json
-    from pathlib import Path
-
-    return SweepResult.from_jsonable(json.loads(Path(path).read_text()))

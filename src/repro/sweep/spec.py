@@ -130,7 +130,9 @@ class SweepSpec:
         ``base_config`` is the experiment's default
         :class:`~repro.runner.config.ExperimentConfig`. Every point is
         resolved against it, so an unknown axis or an impossible value
-        raises :class:`ValueError` here, before any simulation.
+        raises :class:`ValueError` here, before any simulation. So does
+        a second axis on a spec with shape checks, which read one
+        series along one axis.
         """
         fragments = [
             [(axis, value, axis_overrides(base_config, axis, value)) for value in values]
@@ -148,6 +150,11 @@ class SweepSpec:
                     config=base_config.with_overrides(overrides),
                 )
             )
+        if self.checks is not None and len(self.axes) > 1:
+            raise ValueError(
+                f"sweep {self.name!r} has checks, which need a one-axis "
+                f"sweep; got axes {[axis for axis, _values in self.axes]}"
+            )
         return points
 
     # -- identity ----------------------------------------------------------
@@ -155,8 +162,8 @@ class SweepSpec:
     def grid_key(self) -> str:
         """A stable digest of the expanded grid's identity.
 
-        Names the sweep's manifest/result files: the same spec with the
-        same axes and base overrides resumes the same manifest.
+        ``repro serve``'s sweep job ID: the same spec with the same axes
+        and base overrides is the same job.
         """
         payload = {
             "name": self.name,

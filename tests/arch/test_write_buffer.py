@@ -1,32 +1,10 @@
-"""Unit tests for the write buffers: infinite (accounting) and semantic."""
+"""Unit tests for the semantic store buffers (relaxed consistency)."""
 
 import numpy as np
 import pytest
 
 from repro.arch.params import MEMORY_MODELS
-from repro.arch.write_buffer import StoreBuffer, WriteBuffer
-
-
-def test_constant_drain_cost():
-    buffer = WriteBuffer(drain_cycles=1)
-    assert buffer.accept(32) == 1
-    assert buffer.accept(32) == 1
-
-
-def test_accounting():
-    buffer = WriteBuffer()
-    for _ in range(5):
-        buffer.accept(32)
-    assert buffer.entries_accepted == 5
-    assert buffer.bytes_accepted == 160
-
-
-def test_custom_drain_cost():
-    buffer = WriteBuffer(drain_cycles=3)
-    assert buffer.accept(64) == 3
-
-
-# -- semantic store buffer (relaxed consistency) ------------------------------
+from repro.arch.write_buffer import StoreBuffer
 
 
 class _Region:

@@ -65,6 +65,15 @@ def test_facade_sweep_accepts_spec_name(monkeypatch, tmp_path):
     api.clear_memory_cache()
 
 
+def test_facade_sweep_refuses_a_second_axis_on_a_checked_spec(tmp_path):
+    from repro.runner.cache import ResultCache
+
+    with pytest.raises(ValueError, match="has checks, which need a one-axis sweep"):
+        api.sweep("em3d-latency", axes={"procs": (2, 4)}, jobs=1,
+                  cache=ResultCache(tmp_path / "c"))
+    assert not (tmp_path / "c").exists()
+
+
 def test_facade_sweep_unknown_name():
     with pytest.raises(ValueError, match="unknown sweep"):
         api.sweep("definitely-not-a-sweep")

@@ -173,7 +173,23 @@ def test_sweep_glob_batch_runs_lake_and_suffixed_artifacts(tmp_path, capsys):
         assert len(payload["points"]) == 2
     with RunLake(lake_path) as lake:
         counts = lake.counts()
-    assert counts["sweeps"] == 2
-    assert counts["sweep_points"] == 4
     # The two grids share the latency-0 point, so three unique runs.
     assert counts["runs"] == 3
+
+
+def test_sweep_lake_lands_the_point_records_without_a_cache(tmp_path, capsys):
+    """--lake ingests the point records the sweep delivered, so it works
+    under --no-cache too; the lake holds runs, no sweep tables."""
+    from repro.runner.cache import ResultCache
+
+    spec_path = tmp_path / "tiny.yaml"
+    spec_path.write_text(TINY_GLOB_SWEEP.format(id="tiny", values="0, 50"))
+    lake_path = tmp_path / "l.sqlite"
+    assert main(["sweep", str(spec_path), "--jobs", "1", "--no-cache",
+                 "--lake", "--lake-path", str(lake_path)]) == 0
+    assert "2 new of 2 point record(s) ingested" in capsys.readouterr().err
+    assert ResultCache().stats()["records"] == 0
+    with RunLake(lake_path) as lake:
+        counts = lake.counts()
+    assert counts["runs"] == 2
+    assert set(counts) == {"runs", "metrics"}

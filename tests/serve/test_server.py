@@ -224,6 +224,9 @@ class TestErrors:
              "network_latency must be >= 0, got -50"),
             ("/v1/sweeps", {"spec": "em3d-latency", "axes": {"procs": [0]}},
              "num_processors must be >= 1, got 0"),
+            ("/v1/sweeps",
+             {"spec": "em3d-latency", "axes": {"net_latency": [0], "procs": [2]}},
+             "sweep 'em3d-latency' has checks, which need a one-axis sweep"),
             ("/v1/runs", {"experiment": "validation", "overrides": {"procs": 0}},
              "num_processors must be >= 1, got 0"),
             ("/v1/runs", {"experiment": "validation", "overrides": {"procs": "x"}},
@@ -233,7 +236,7 @@ class TestErrors:
             ("/v1/runs", {"experiment": "em3"}, "(did you mean 'em3d'?)"),
         ],
         ids=["sweep-axis-typo", "sweep-negative-latency", "sweep-zero-procs",
-             "run-zero-procs", "run-string-procs", "run-zero-cache",
+             "sweep-second-axis", "run-zero-procs", "run-string-procs", "run-zero-cache",
              "run-experiment-typo"],
     )
     def test_unrunnable_request_400_and_nothing_queued(

@@ -187,6 +187,24 @@ def test_list_specs_covers_all_shipped_ids():
     } <= ids
 
 
+def test_listing_parses_each_spec_file_once(monkeypatch):
+    import yaml
+
+    from repro import api
+    from repro.specs import iter_spec_files
+
+    parsed = []
+    safe_load = yaml.safe_load
+
+    def counting_safe_load(text):
+        parsed.append(text)
+        return safe_load(text)
+
+    monkeypatch.setattr(yaml, "safe_load", counting_safe_load)
+    api.specs()
+    assert len(parsed) == len(iter_spec_files())
+
+
 # ---------------------------------------------------------------------------
 # Resolution: ids, paths, globs.
 # ---------------------------------------------------------------------------

@@ -117,11 +117,6 @@ def test_sweep_json_and_csv_artifacts(tiny_sweep, tmp_path, capsys):
     assert lines[1] == "1,10.0"
 
 
-def test_sweep_resume_flag_without_manifest_exits_2(tiny_sweep, capsys):
-    assert main(["sweep", "tiny", "--jobs", "1", "--resume"]) == 2
-    assert "nothing to resume" in capsys.readouterr().err
-
-
 def test_sweep_glob_resolves_every_spec_before_any_runs(capsys):
     """An --axis that one spec of a --glob batch cannot take is a usage
     error before the first spec simulates anything."""
@@ -130,7 +125,23 @@ def test_sweep_glob_resolves_every_spec_before_any_runs(capsys):
     assert main(["sweep", "--glob", "specs/sweeps/*.yaml",
                  "--axis", "nodes_per_proc=10", "--jobs", "1"]) == 2
     err = capsys.readouterr().err
-    assert "unknown sweep axis 'nodes_per_proc' for gauss" in err
+    # em3d-cache, the first globbed spec, takes the axis but not as a
+    # second one: its checks read one series.
+    assert "sweep 'em3d-cache' has checks, which need a one-axis sweep" in err
+    assert "[1/" not in err
+    assert ResultCache().stats()["records"] == 0
+
+
+def test_sweep_second_axis_on_a_checked_spec_exits_2_before_any_point(capsys):
+    from repro.runner.cache import ResultCache
+
+    assert main(["sweep", "em3d-latency", "--axis", "procs=2,4",
+                 "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert (
+        "sweep 'em3d-latency' has checks, which need a one-axis sweep; "
+        "got axes ['net_latency', 'procs']"
+    ) in err
     assert "[1/" not in err
     assert ResultCache().stats()["records"] == 0
 
@@ -143,15 +154,14 @@ def test_sweep_impossible_axis_value_exits_2_before_any_point(capsys):
     assert "[1/" not in err
 
 
-def test_sweep_help_lists_shared_flags():
-    import argparse
-
+def test_sweep_help_lists_shared_flags(capsys):
     from repro.cli import build_parser
 
     parser = build_parser()
     with pytest.raises(SystemExit) as excinfo:
         parser.parse_args(["sweep", "--help"])
     assert excinfo.value.code == 0
+    assert "--resume" not in capsys.readouterr().out
 
 
 def test_shared_flags_spelled_identically_across_commands():

@@ -1,4 +1,4 @@
-"""Engine behaviour: caching, incrementality, interruption, resume.
+"""Engine behaviour: caching, incrementality, interruption, concurrency.
 
 All engine tests use an in-process fake experiment (``jobs=1`` — the
 spawned workers of a real parallel run re-import the registry and
@@ -7,6 +7,9 @@ invocations exactly. The real shipped specs run in
 ``test_specs_shipped.py`` (slow) and the CI sweep-smoke job.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.core import experiments
@@ -14,8 +17,7 @@ from repro.runner import api
 from repro.runner.api import clear_memory_cache
 from repro.runner.cache import ResultCache
 from repro.runner.config import ExperimentConfig
-from repro.sweep import SweepSpec, load_result, run_sweep
-from repro.sweep.engine import latest_manifest, result_path
+from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.spec import CrossoverSpec
 
 PROCS = (1, 2, 3, 4, 5)
@@ -107,61 +109,70 @@ def test_force_resimulates_everything(fake, tmp_path):
 
 
 def test_interrupted_sweep_resumes_bit_identical(fake, tmp_path):
-    """The acceptance test: interrupt mid-grid, resume, compare."""
+    """The acceptance test: interrupt mid-grid, rerun the same call,
+    compare. The point records are the only state a rerun needs."""
     calls, fail_on = fake
-    cache = ResultCache(tmp_path)
+    cache = ResultCache(tmp_path / "a")
 
     # Point 5 dies; the first (batched) points were already stored.
     fail_on.add(5)
     with pytest.raises(RuntimeError, match="interrupted at procs=5"):
         run_sweep(_spec(), jobs=1, cache=cache)
-    assert 5 not in calls
+    done = sorted(calls)
+    assert done and 5 not in done  # the completed batch survived
+    assert sorted(r.config["procs"] for _p, r in cache.entries()) == done
 
-    manifest = latest_manifest(cache, "fake")
-    assert manifest is not None
-    statuses = {p["coords"]["procs"]: p["status"] for p in manifest["points"]}
-    assert statuses[5] == "pending"
-    done = [procs for procs, status in statuses.items() if status == "done"]
-    assert done  # the completed batch survived the interruption
-
-    # "Fix the outage" and resume: only the missing points simulate.
+    # "Fix the outage" and rerun: only the missing points simulate.
     fail_on.clear()
     clear_memory_cache()
     del calls[:]
-    resumed = run_sweep(_spec(), jobs=1, cache=cache, resume=True)
+    rerun = run_sweep(_spec(), jobs=1, cache=cache)
     assert calls == sorted(set(PROCS) - set(done))
-    assert resumed.meta["simulated"] == len(PROCS) - len(done)
+    assert rerun.meta["simulated"] == len(PROCS) - len(done)
 
     # Bit-identical to a never-interrupted run of the same grid.
     clear_memory_cache()
     uninterrupted = run_sweep(_spec(), jobs=1, cache=ResultCache(tmp_path / "b"))
-    assert resumed == uninterrupted  # meta (timing/accounting) excluded
-    assert resumed.to_csv() == uninterrupted.to_csv()
+    assert rerun == uninterrupted  # meta (timing/accounting) excluded
+    assert rerun.to_csv() == uninterrupted.to_csv()
+
+    # The cache directory holds the five point records and nothing else.
+    records = sorted(path.name for path, _record in cache.entries())
+    assert len(records) == len(PROCS)
+    assert sorted(path.name for path in cache.directory.iterdir()) == records
 
 
-def test_resume_reuses_manifest_axes(fake, tmp_path):
-    calls, _fail = fake
+def test_concurrent_sweeps_of_one_grid_share_a_cache(fake, tmp_path):
+    """Two sweeps of one grid into one cache directory both finish:
+    a sweep writes nothing but its point records, each stored
+    atomically."""
+    spec = _spec(axes=(("seed", tuple(range(60))),))
     cache = ResultCache(tmp_path)
-    run_sweep(_spec(), axes={"procs": (2, 4)}, jobs=1, cache=cache)
-    assert calls == [2, 4]
-    # Resume ignores the spec's default axes in favour of the manifest's.
-    resumed = run_sweep(_spec(), jobs=1, cache=cache, resume=True)
-    assert calls == [2, 4]
-    assert resumed.axes == [["procs", [2, 4]]]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for _trial in range(5):
+            errors = []
 
+            def sweep():
+                try:
+                    run_sweep(spec, jobs=1, cache=cache, force=True)
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
 
-def test_resume_without_manifest_fails(fake, tmp_path):
-    with pytest.raises(FileNotFoundError, match="nothing to resume"):
-        run_sweep(_spec(), jobs=1, cache=ResultCache(tmp_path), resume=True)
-
-
-def test_result_json_written_beside_manifest(fake, tmp_path):
-    cache = ResultCache(tmp_path)
-    spec = _spec()
-    result = run_sweep(spec, jobs=1, cache=cache)
-    stored = load_result(result_path(cache, spec))
-    assert stored == result
-    assert stored.meta["simulated"] == 5  # meta round-trips, just not compared
+            threads = [threading.Thread(target=sweep) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert errors == []
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(path.name for path in cache.directory.iterdir()) == sorted(
+        path.name for path, _record in cache.entries()
+    )
+    assert len(list(cache.entries())) == 60
 
 
 def test_crossover_and_checks_flow_through(fake, tmp_path):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sweep.result import SWEEP_SCHEMA, SweepResult, load_result
+from repro.sweep.result import SWEEP_SCHEMA, SweepResult
 
 
 def _result_1d():
@@ -97,11 +97,3 @@ def test_render_table_alignment():
     assert set(lines[1]) == {"-"}
     assert len(lines) == 4
 
-
-def test_load_result(tmp_path):
-    import json
-
-    result = _result_1d()
-    path = tmp_path / "r.json"
-    path.write_text(json.dumps(result.to_jsonable()))
-    assert load_result(path) == result

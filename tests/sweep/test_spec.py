@@ -76,6 +76,19 @@ def test_grid_2d_row_major_first_axis_outermost():
     }
 
 
+def test_grid_refuses_a_second_axis_on_a_checked_spec():
+    """Shape checks read one series along one axis, so a checked spec
+    takes no second axis; the points still resolve first."""
+    spec = _spec(checks=lambda result: [])
+    with pytest.raises(ValueError, match=(
+        r"sweep 't' has checks, which need a one-axis sweep; "
+        r"got axes \['net_latency', 'cache_kb'\]"
+    )):
+        spec.with_axes({"cache_kb": (4, 8)}).grid(EM3D)
+    with pytest.raises(ValueError, match="did you mean"):
+        spec.with_axes({"cache_kbb": (4,)}).grid(EM3D)
+
+
 def test_grid_rejects_unknown_axis_before_any_simulation():
     spec = _spec(axes=(("network_latncy", (0,)),))
     with pytest.raises(ValueError, match="did you mean"):
