@@ -225,6 +225,14 @@ class RelaxedSmContext(SmContext):
         drain = self.drain
         while drain.inflight_block == block:
             yield Wait(drain.inflight_done)
+        # The caller chose this transaction from the line state it saw
+        # before any wait; a drain commit since then may have made the
+        # line EXCLUSIVE, and then the access hits. Issuing anyway would
+        # send a GETS from the owner, which the directory serves by
+        # downgrading the entry to SHARED while this cache still holds
+        # the line EXCLUSIVE until the grant lands.
+        if self.cache.peek(block) is LineState.EXCLUSIVE:
+            return
         self._program_inflight.add(block)
         try:
             yield from SmContext._shared_transaction(

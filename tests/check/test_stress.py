@@ -56,6 +56,15 @@ def test_sm_stress_relaxed_deterministic(consistency):
     assert a == b
 
 
+@pytest.mark.parametrize("seed", [99, 862, 1167, 2865])
+def test_sm_stress_relaxed_pc_pinned_seeds(seed):
+    """Schedules on which a load once issued a GETS for a line its own
+    drain had just made EXCLUSIVE, so the directory granted another
+    node a SHARED copy beside the dirty one (a SWMR violation)."""
+    report = run_sm_stress(ops=80, seed=seed, consistency="pc")
+    assert report["sm_ops"] == 80
+    assert report["coherence-order"] > 0
+
 @given(seed=st.integers(0, 2**16))
 @settings(**_SETTINGS)
 def test_sm_stress_random_schedules_relaxed_pc(seed):

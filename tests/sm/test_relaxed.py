@@ -9,6 +9,7 @@ deferral — on real machines, through the public program surface.
 import numpy as np
 import pytest
 
+from repro.arch.cache import LineState
 from repro.arch.params import MachineParams
 from repro.sm.api import SmContext
 from repro.sm.batched import BatchedSmContext
@@ -118,6 +119,33 @@ def test_store_counters_and_drain_counts():
     assert board.mean_count("sb_stores") == 5
     assert board.mean_count("sb_drains") == 5
     assert board.mean_count("fences") >= 1
+
+
+def test_load_behind_own_drain_commit_hits():
+    """A load that waits out its own drain's GETX on the block hits the
+    line the commit made EXCLUSIVE. Issuing the miss anyway would send
+    the directory a GETS from the block's owner, which downgrades the
+    entry to SHARED while this cache still holds the line EXCLUSIVE."""
+    machine = _machine("tso", nprocs=1)
+    seen = {}
+
+    def program(ctx):
+        region = ctx.gmalloc("x", 4)
+        yield from ctx.write(region, 0, values=np.array([5.0]))
+        while ctx.drain.inflight_block is None:
+            yield from ctx.compute(1)
+        block = ctx.drain.inflight_block
+        got = yield from ctx.read(region, 0, 1)
+        seen["read"] = float(got[0])
+        seen["line"] = ctx.cache.peek(block)
+        seen["dir"] = ctx.machine.directories[0].entries[block].describe()
+        yield from ctx.fence()
+
+    result = machine.run(program)
+    assert seen == {
+        "read": 5.0, "line": LineState.EXCLUSIVE, "dir": "EXCLUSIVE@0"
+    }
+    assert result.board.mean_count("shared_misses_local") == 0
 
 
 def test_relaxed_runs_are_seed_deterministic():
