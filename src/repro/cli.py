@@ -13,10 +13,11 @@ Commands:
 * ``python -m repro bench --json BENCH_kernel.json`` — the kernel
   benchmark suite, with an optional ``--baseline`` regression gate;
 * ``python -m repro trace <id> [--out trace.json] [--procs 0-7]
-  [--max-events N]`` — re-run one experiment with the timeline tracer
-  installed, write Chrome Trace Event JSON (Perfetto-loadable), print
-  the ASCII timeline, and attach the trace path to the cached record so
-  later invocations re-render without re-simulating;
+  [--max-events N]`` — run one experiment with the timeline tracer
+  installed and print the ASCII timeline; the full Chrome Trace Event
+  JSON (Perfetto-loadable) is stored with the cached record, so later
+  invocations re-render it without re-simulating; ``--out`` writes a
+  copy, and a ``--procs``/``--max-events`` slice is never stored;
 * ``python -m repro check [--litmus] [--stress N] [--seed S]`` — the
   coherence/consistency litmus suite and the randomized stress
   programs, executed under the invariant checker (``repro.check``);
@@ -33,8 +34,8 @@ Commands:
   resolve YAML-first (the spec search path), deprecated Python
   registrations second;
 * ``python -m repro cache ls`` / ``python -m repro cache clear`` —
-  inspect (per-record byte sizes, totals, salt freshness) or drop the
-  on-disk result cache;
+  inspect (per-entry byte sizes with traces, totals, salt freshness)
+  or drop the on-disk result cache;
 * ``python -m repro lake ingest`` / ``python -m repro lake stats`` —
   backfill the append-only sqlite run lake from the warm cache (also
   fed opt-in by ``run/sweep --lake``), or print its row counts;
@@ -128,6 +129,30 @@ def _print_record(record: RunRecord) -> bool:
     return all_ok
 
 
+def _emit_text(path: str, text: str, prog: str, label: str) -> int:
+    """Write an export to a file, or to stdout when the path is '-'."""
+    if path == "-":
+        print(text)
+        return 0
+    try:
+        Path(path).write_text(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        print(f"{prog}: error: cannot write {path}: {exc}", file=sys.stderr)
+        return 2
+    print(f"wrote {label} to {path}", file=sys.stderr)
+    return 0
+
+
+def _ingest(lake_path: Optional[str], records: List[RunRecord], what: str) -> None:
+    """Add records to the run lake (``--lake``) and say how many were new."""
+    from repro.lake import RunLake
+
+    with RunLake(lake_path) as lake:
+        added = sum(bool(lake.ingest_record(record)) for record in records)
+        print(f"lake {lake.path}: {added} new of {len(records)} {what} ingested",
+              file=sys.stderr)
+
+
 def cmd_list(_args: argparse.Namespace) -> int:
     width = max(len(exp_id) for exp_id in EXPERIMENTS)
     for exp_id, spec in EXPERIMENTS.items():
@@ -217,27 +242,13 @@ def cmd_run(args: argparse.Namespace) -> int:
             failed.append(exp_id)
 
     if args.lake:
-        from repro.lake import RunLake
-
-        with RunLake(args.lake_path) as lake:
-            added = sum(
-                bool(lake.ingest_record(record))
-                for record in records.values()
-            )
-            print(
-                f"lake {lake.path}: {added} new of {len(records)} "
-                "record(s) ingested",
-                file=sys.stderr,
-            )
+        _ingest(args.lake_path, list(records.values()), "record(s)")
 
     if args.json:
         payload = [record.to_jsonable() for record in records.values()]
-        try:
-            Path(args.json).write_text(json.dumps(payload, indent=1, sort_keys=True))
-        except OSError as exc:
-            print(f"repro run: error: cannot write {args.json}: {exc}", file=sys.stderr)
+        if _emit_text(args.json, json.dumps(payload, indent=1, sort_keys=True),
+                      "repro run", f"{len(payload)} records"):
             return 2
-        print(f"wrote {len(payload)} records to {args.json}", file=sys.stderr)
 
     if failed:
         print(
@@ -261,14 +272,8 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
             dict(asdict(row), abs_error=round(row.abs_error, 3))
             for row in rows
         ]
-        try:
-            Path(args.json).write_text(json.dumps(payload, indent=1))
-        except OSError as exc:
-            print(f"repro fidelity: error: cannot write {args.json}: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"wrote {len(payload)} fidelity rows to {args.json}",
-              file=sys.stderr)
+        return _emit_text(args.json, json.dumps(payload, indent=1),
+                          "repro fidelity", f"{len(payload)} fidelity rows")
     return 0
 
 
@@ -366,35 +371,17 @@ def _run_one_sweep(spec, axes, args: argparse.Namespace, multi: bool = False) ->
           f"{meta['cached']} cached, {meta['elapsed_seconds']:.1f}s)")
 
     if args.lake:
-        from repro.lake import RunLake
+        _ingest(args.lake_path, list(delivered.values()), "point record(s)")
 
-        with RunLake(args.lake_path) as lake:
-            added = sum(
-                bool(lake.ingest_record(record))
-                for record in delivered.values()
-            )
-            print(
-                f"lake {lake.path}: {added} new of {len(delivered)} "
-                "point record(s) ingested",
-                file=sys.stderr,
-            )
-
-    for attr, prog_hint, text in (
-        ("json", "JSON", json.dumps(result.to_jsonable(), indent=1,
-                                    sort_keys=True)),
-        ("csv", "CSV", result.to_csv()),
+    for attr, label, text in (
+        ("json", "sweep JSON", json.dumps(result.to_jsonable(), indent=1,
+                                          sort_keys=True)),
+        ("csv", "sweep CSV", result.to_csv()),
     ):
         path = getattr(args, attr)
-        if not path:
-            continue
-        path = _suffixed_path(path, result.spec_name, multi)
-        try:
-            Path(path).write_text(text)
-        except OSError as exc:
-            print(f"repro sweep: error: cannot write {path}: {exc}",
-                  file=sys.stderr)
+        if path and _emit_text(_suffixed_path(path, result.spec_name, multi),
+                               text, "repro sweep", label):
             return 2
-        print(f"wrote sweep {prog_hint} to {path}", file=sys.stderr)
 
     if not all_ok:
         print("sweep shape checks failed", file=sys.stderr)
@@ -412,14 +399,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rate = document["kernel"]["events_per_sec"]
     print(f"kernel aggregate: {rate} events/sec")
 
-    if args.json:
-        try:
-            Path(args.json).write_text(json.dumps(document, indent=1, sort_keys=True))
-        except OSError as exc:
-            print(f"repro bench: error: cannot write {args.json}: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"wrote benchmark results to {args.json}", file=sys.stderr)
+    if args.json and _emit_text(
+        args.json, json.dumps(document, indent=1, sort_keys=True),
+        "repro bench", "benchmark results",
+    ):
+        return 2
 
     if args.baseline:
         baseline = bench.load_baseline(args.baseline)
@@ -466,60 +450,39 @@ def cmd_trace(args: argparse.Namespace) -> int:
     key = cache_key(config)
     cache = ResultCache()
 
-    # A stored trace re-renders without re-simulating, unless the caller
-    # asks for a different slice of the run (or --force / --no-cache).
-    reusable = (not args.force and not args.no_cache
-                and args.procs is None and args.max_events is None)
-    if reusable:
-        record = cache.load(config)
-        if record is not None and record.trace_path:
-            path = Path(record.trace_path)
-            if path.exists():
-                doc = json.loads(path.read_text())
-                print(render_timeline(doc))
-                if args.out and Path(args.out) != path:
-                    Path(args.out).write_text(json.dumps(doc))
-                    print(f"\ncopied trace to {args.out}", file=sys.stderr)
-                print(f"\ntrace: {path} (cached; --force re-simulates)")
-                return 0
-
-    traced = api.trace_for(
-        args.experiment, procs=args.procs, max_events=args.max_events
-    )
-    doc = traced.document
-    if traced.errors:
-        for error in traced.errors:
-            print(f"repro trace: schema error: {error}", file=sys.stderr)
-        return 1
-
-    if args.out:
-        out_path = Path(args.out)
+    # A full trace is stored with its record and re-rendered from there
+    # (unless --force); a --procs/--max-events slice or a --no-cache
+    # trace never enters the cache.
+    full = args.procs is None and args.max_events is None and not args.no_cache
+    doc = cache.load_trace(config.exp_id, key) if full and not args.force else None
+    if doc is not None:
+        where = f"{cache.trace_path(config.exp_id, key)} (cached; --force re-simulates)"
     else:
-        out_path = cache.directory / "traces" / f"{args.experiment}-{key[:16]}.json"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        out_path.write_text(json.dumps(doc))
-    except OSError as exc:
-        print(f"repro trace: error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return 2
+        traced = api.trace_for(
+            args.experiment, procs=args.procs, max_events=args.max_events
+        )
+        doc = traced.document
+        if traced.errors:
+            for error in traced.errors:
+                print(f"repro trace: schema error: {error}", file=sys.stderr)
+            return 1
+        dropped = f", {traced.dropped} dropped" if traced.dropped else ""
+        ran = (f"{len(doc['traceEvents'])} events{dropped}, "
+               f"ran in {traced.elapsed_seconds:.1f}s")
+        if full:
+            record = build_record(
+                get_experiment(args.experiment), config, traced.result,
+                traced.elapsed_seconds, key=key,
+            )
+            cache.store(record, trace=doc)
+            where = f"{record.trace_path} ({ran})"
+        else:
+            where = f"not stored ({ran}; slices and --no-cache traces are never cached)"
 
     print(render_timeline(doc))
-    dropped = f", {traced.dropped} dropped" if traced.dropped else ""
-    print(
-        f"\ntrace: {out_path} "
-        f"({len(doc['traceEvents'])} events{dropped}, "
-        f"ran in {traced.elapsed_seconds:.1f}s)"
-    )
-
-    # Attach the trace to the cached record so the next invocation (and
-    # `repro run`) reuse both. Only full traces are worth attaching.
-    if reusable:
-        record = build_record(
-            get_experiment(args.experiment), config, traced.result,
-            traced.elapsed_seconds, key=key,
-        )
-        record.trace_path = str(out_path)
-        cache.store(record)
+    if args.out and _emit_text(args.out, json.dumps(doc), "repro trace", "trace JSON"):
+        return 2
+    print(f"\ntrace: {where}")
     return 0
 
 
@@ -648,11 +611,11 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_cache(args: argparse.Namespace) -> int:
     cache = ResultCache()
     if args.cache_command == "ls":
-        lines = cache.ls()
-        if not lines:
+        index = cache.index()  # one scan for the lines and their totals
+        if not index:
             print(f"cache empty ({cache.directory})")
         else:
-            stats = cache.stats()
+            stats = cache.stats(index)
             stale = (
                 f", {stats['stale_records']} stale-salt"
                 if stats["stale_records"]
@@ -662,7 +625,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
                 f"cache {cache.directory}: {stats['records']} records, "
                 f"{stats['bytes']} bytes total{stale}"
             )
-            for line in lines:
+            for line in cache.ls(index):
                 print(f"  {line}")
         return 0
     if args.cache_command == "clear":
@@ -706,20 +669,6 @@ def cmd_lake(args: argparse.Namespace) -> int:
         return 0
     print("unknown lake command", file=sys.stderr)
     return 2
-
-
-def _emit_text(path: str, text: str, prog: str, label: str) -> int:
-    """Write an export to a file, or to stdout when the path is '-'."""
-    if path == "-":
-        print(text)
-        return 0
-    try:
-        Path(path).write_text(text if text.endswith("\n") else text + "\n")
-    except OSError as exc:
-        print(f"{prog}: error: cannot write {path}: {exc}", file=sys.stderr)
-        return 2
-    print(f"wrote {label} to {path}", file=sys.stderr)
-    return 0
 
 
 def cmd_query(args: argparse.Namespace) -> int:
@@ -790,7 +739,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro import api
-    from repro.serve import parse_bytes
+    from repro.serve.eviction import parse_bytes
 
     try:
         cache_bytes = parse_bytes(args.cache_bytes)
@@ -912,8 +861,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument("experiment", metavar="ID",
                               help="experiment id (see `list`)")
     trace_parser.add_argument("--out", metavar="PATH",
-                              help="trace JSON destination (default: "
-                                   "<cache-dir>/traces/<id>-<key>.json)")
+                              help="also write the trace JSON to PATH "
+                                   "('-' for stdout); the cache keeps "
+                                   "full traces itself, slices never")
     trace_parser.add_argument("--procs", type=_parse_procs, default=None,
                               metavar="SET",
                               help="restrict per-processor records, "

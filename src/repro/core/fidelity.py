@@ -132,12 +132,12 @@ def render_scorecard(rows: List[FidelityRow]) -> str:
     lines = [
         "Fidelity scorecard: category shares, paper (32p) vs. scaled run",
         "-" * 72,
-        f"{'experiment':<8}{'metric':<28}{'paper':>8}{'run':>8}{'|err|':>8}",
+        f"{'experiment':<12}{'metric':<28}{'paper':>8}{'run':>8}{'|err|':>8}",
         "-" * 72,
     ]
     for row in rows:
         lines.append(
-            f"{row.experiment:<8}{row.metric:<28}"
+            f"{row.experiment:<12}{row.metric:<28}"
             f"{row.paper:>7.0f}%{row.measured:>7.0f}%"
             f"{row.abs_error:>7.1f}p"
         )

@@ -17,11 +17,17 @@ Hits also bump the record file's mtime, so mtime order is true LRU
 order and the byte-budget eviction policy (:mod:`repro.serve.eviction`)
 keeps hot records alive while old and stale-salt ones go first.
 
-File I/O goes through :class:`~repro.serve.store.LocalDirStore`,
-which publishes each record through a per-thread temp file and an
-atomic ``os.replace``: a ``repro serve`` worker, an in-process sweep
-and a ``repro run`` in another process may store the same record at
-once, and a reader sees either no record or a complete one.
+A record stored with its Chrome trace (``repro trace``) keeps the
+trace at ``traces/<record file name>``; the two are one cache entry,
+listed, sized, evicted and cleared together.
+
+:class:`ResultCache` is the only code that names, reads, writes or
+deletes files in the cache directory. File I/O goes through
+:class:`~repro.serve.store.LocalDirStore`, which publishes each file
+through a per-thread temp file and an atomic ``os.replace``: a
+``repro serve`` worker, an in-process sweep and a ``repro run`` in
+another process may store the same record at once, and a reader sees
+either no file or a complete one.
 """
 
 from __future__ import annotations
@@ -47,6 +53,9 @@ CODE_SALT = "repro-runner-v5"  # v5: em3d_bigcache/em3d_localalloc/alcp
 DEFAULT_CACHE_DIR = ".repro_cache"
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
+
+#: Where a traced record's trace lives, under the record's file name.
+TRACE_DIR = "traces"
 
 #: The keys of ``RunRecord.to_jsonable()``: a stored record's layout.
 _RECORD_KEYS = frozenset(RunRecord.__dataclass_fields__) - {"cached"}
@@ -98,13 +107,16 @@ def record_is_fresh(data: Dict[str, Any]) -> bool:
 
 @dataclass
 class CacheEntry:
-    """Size/age/staleness facts about one on-disk record file.
+    """Size/age/staleness facts about one cache entry: a record file
+    and the trace stored with it.
 
-    ``stale`` means the stored key no longer matches a key recomputed
-    from the stored config under the current :data:`CODE_SALT`, package
-    version, and record schema — the record can never again satisfy a
-    lookup, so eviction removes it first. Unreadable files count as
-    stale too.
+    ``path`` is the record file, or the trace file of a trace whose
+    record is gone; ``bytes`` counts both files. ``stale`` means the
+    stored key no longer matches a key recomputed from the stored
+    config under the current :data:`CODE_SALT`, package version, and
+    record schema — the record can never again satisfy a lookup, so
+    eviction removes it first. Unreadable records (``record`` is
+    ``None``) and traces without a record count as stale too.
     """
 
     path: Path
@@ -113,12 +125,16 @@ class CacheEntry:
     bytes: int
     mtime: float
     stale: bool
+    record: Optional[RunRecord] = None
+    trace_bytes: int = 0
 
 
 class ResultCache:
-    """JSON records keyed by :func:`cache_key`, one file per run."""
+    """JSON records keyed by :func:`cache_key`, one file per run (and
+    one per stored trace)."""
 
     def __init__(self, directory: Optional[os.PathLike] = None) -> None:
+        # Imported here, so `from repro import api` loads no repro.serve.
         from repro.serve.store import LocalDirStore
 
         self._store = LocalDirStore(
@@ -135,8 +151,14 @@ class ResultCache:
     def _name(exp_id: str, key: str) -> str:
         return f"{exp_id}-{key[:16]}.json"
 
-    def _path(self, exp_id: str, key: str) -> Path:
-        return self.directory / self._name(exp_id, key)
+    @staticmethod
+    def _trace_name(name: str) -> str:
+        """The store name of the trace kept with record file ``name``."""
+        return f"{TRACE_DIR}/{name}"
+
+    def trace_path(self, exp_id: str, key: str) -> Path:
+        """Where the trace stored with the record under ``key`` lives."""
+        return self.directory / self._trace_name(self._name(exp_id, key))
 
     def load(self, config: ExperimentConfig) -> Optional[RunRecord]:
         """The stored record for this exact configuration, or ``None``."""
@@ -175,69 +197,105 @@ class ResultCache:
             data = RunRecord.from_jsonable(data).to_jsonable()
         return data
 
-    def store(self, record: RunRecord) -> Path:
-        """Persist one record; atomic under concurrent writers."""
+    def load_trace(self, exp_id: str, key: str) -> Optional[Dict[str, Any]]:
+        """The trace stored with the record under ``key``, or ``None``.
+
+        Only a hit's trace is served, and a hit counts as a use: a
+        trace whose record is gone or stale is never returned, and a
+        record stored before traces lived in the cache (its
+        ``trace_path`` names a file elsewhere) has none.
+        """
+        if self.load_jsonable(exp_id, key) is None:
+            return None
+        raw = self._store.read(self._trace_name(self._name(exp_id, key)))
+        try:
+            return json.loads(raw.decode("utf-8")) if raw is not None else None
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            return None
+
+    def store(
+        self, record: RunRecord, trace: Optional[Dict[str, Any]] = None
+    ) -> Path:
+        """Persist one record, and its trace if given; atomic under
+        concurrent writers.
+
+        The trace is published first and the record's ``trace_path``
+        names it, so a reader that finds the record finds its trace.
+        """
+        name = self._name(record.exp_id, record.cache_key)
+        if trace is not None:
+            path = self._store.write(
+                self._trace_name(name), json.dumps(trace).encode("utf-8")
+            )
+            record.trace_path = str(path)
         data = json.dumps(record.to_jsonable(), indent=1, sort_keys=True)
-        return self._store.write(
-            self._name(record.exp_id, record.cache_key),
-            data.encode("utf-8"),
-        )
+        return self._store.write(name, data.encode("utf-8"))
 
     # -- listings ----------------------------------------------------------
 
     def entries(self) -> Iterator[Tuple[Path, RunRecord]]:
         """All readable records, oldest first."""
-        for blob in self._store.list_blobs():
-            raw = self._store.read(blob.name)
-            if raw is None:
-                continue  # evicted between listing and read
-            try:
-                data = json.loads(raw.decode("utf-8"))
-                yield self.directory / blob.name, RunRecord.from_jsonable(data)
-            except (UnicodeDecodeError, json.JSONDecodeError, TypeError):
-                continue
+        for entry in self.index():
+            if entry.record is not None:
+                yield entry.path, entry.record
 
     def index(self) -> List[CacheEntry]:
-        """Size/age/staleness facts for every record file, oldest first.
+        """Every cache entry, oldest first, from one scan.
 
-        Unlike :meth:`entries` this never skips a readable file:
-        corrupt records appear with ``stale=True`` so the eviction
-        policy can reclaim their bytes. Files deleted concurrently (an
-        eviction pass in another thread or process) are skipped.
+        Each record file is read once and each trace only sized. Unlike
+        :meth:`entries` this never skips a file: corrupt records and
+        traces without a record appear with ``stale=True`` so the
+        eviction policy can reclaim their bytes. Files deleted
+        concurrently (an eviction pass in another thread or process)
+        are skipped.
         """
+        # Traces first: a store publishes its trace before its record,
+        # so a record stored mid-scan is never taken for an orphan.
+        traces = {
+            blob.name.rpartition("/")[2]: blob
+            for blob in self._store.list_blobs(self._trace_name("*.json"))
+        }
+        records = {blob.name: blob for blob in self._store.list_blobs()}
         out: List[CacheEntry] = []
-        for blob in self._store.list_blobs():
-            exp_id, key, stale = "?", "", True
-            raw = self._store.read(blob.name)
-            if raw is None:
-                continue  # evicted between listing and read
+        for name in records.keys() | traces.keys():
+            blob, trace = records.get(name), traces.get(name)
+            data: Any = {}
+            if blob is not None:
+                raw = self._store.read(name)
+                if raw is None:
+                    continue  # evicted between listing and read
+                try:
+                    data = json.loads(raw.decode("utf-8"))
+                except (UnicodeDecodeError, json.JSONDecodeError):
+                    pass
+            data = data if isinstance(data, dict) else {}
             try:
-                data = json.loads(raw.decode("utf-8"))
-                exp_id = str(data.get("exp_id", "?"))
-                key = str(data.get("cache_key", ""))
-                stale = not record_is_fresh(data)
-            except (UnicodeDecodeError, json.JSONDecodeError, KeyError,
-                    TypeError):
-                stale = True
-            out.append(
-                CacheEntry(
-                    path=self.directory / blob.name,
-                    exp_id=exp_id,
-                    cache_key=key,
-                    bytes=blob.bytes,
-                    mtime=blob.mtime,
-                    stale=stale,
-                )
-            )
+                record: Optional[RunRecord] = RunRecord.from_jsonable(data)
+            except TypeError:
+                record = None  # not a record, or no record file
+            exp_id, _, key = name[: -len(".json")].rpartition("-")
+            first = blob or trace
+            out.append(CacheEntry(
+                path=self.directory / first.name,
+                exp_id=str(data.get("exp_id", exp_id or "?")),
+                cache_key=str(data.get("cache_key", key)),
+                bytes=sum(b.bytes for b in (blob, trace) if b is not None),
+                mtime=first.mtime,
+                stale=not record_is_fresh(data),
+                record=record,
+                trace_bytes=trace.bytes if trace is not None else 0,
+            ))
+        out.sort(key=lambda entry: (entry.mtime, entry.path.name))
         return out
 
     def total_bytes(self) -> int:
-        """Bytes currently held by record files (traces excluded)."""
+        """Bytes currently held by the cache's entries, traces included."""
         return sum(entry.bytes for entry in self.index())
 
-    def stats(self) -> Dict[str, Any]:
-        """Size accounting for ``/healthz`` and ``repro cache ls``."""
-        entries = self.index()
+    def stats(self, index: Optional[List[CacheEntry]] = None) -> Dict[str, Any]:
+        """Size accounting for ``/healthz`` and ``repro cache ls``, from
+        ``index`` (a scan already made) or a new scan."""
+        entries = self.index() if index is None else index
         ages = [time.time() - entry.mtime for entry in entries]
         return {
             "directory": str(self.directory),
@@ -247,27 +305,34 @@ class ResultCache:
             "oldest_age_seconds": round(max(ages), 1) if ages else 0.0,
         }
 
-    def ls(self) -> List[str]:
-        """Human-readable listing lines for ``repro cache ls``."""
-        index = self.index()
-        stale_keys = {entry.cache_key for entry in index if entry.stale}
-        sizes = {entry.path.name: entry.bytes for entry in index}
+    def ls(self, index: Optional[List[CacheEntry]] = None) -> List[str]:
+        """Listing lines for ``repro cache ls``, one per entry, from
+        ``index`` (a scan already made) or a new scan."""
         lines = []
-        for path, record in self.entries():
-            size = sizes.get(path.name, 0)
-            status = "ok" if record.all_ok else "FAIL"
-            salt = "stale" if record.cache_key in stale_keys else "fresh"
+        for entry in self.index() if index is None else index:
+            record = entry.record
+            name = entry.path.relative_to(self.directory).as_posix()
+            if record is not None:
+                ran = f"{record.elapsed_seconds:7.1f}s"
+                status = f"checks:{'ok' if record.all_ok else 'FAIL'}"
+                name += " + trace" if entry.trace_bytes else ""
+            else:
+                ran = f"{'-':>8}"
+                orphan = entry.path.parent != self.directory
+                status = "no record" if orphan else "unreadable"
+            salt = "stale" if entry.stale else "fresh"
             lines.append(
-                f"{record.exp_id:<18} {record.cache_key[:12]}  "
-                f"{record.elapsed_seconds:7.1f}s  {size:8d}B  "
-                f"checks:{status}  salt:{salt}  {path.name}"
+                f"{entry.exp_id:<18} {entry.cache_key[:12]}  {ran}  "
+                f"{entry.bytes:8d}B  {status}  salt:{salt}  {name}"
             )
         return lines
 
+    def remove(self, entry: CacheEntry) -> bool:
+        """Delete one entry, record and trace; False if both were gone."""
+        record_gone = self._store.delete(entry.path.name)
+        trace_gone = self._store.delete(self._trace_name(entry.path.name))
+        return record_gone or trace_gone
+
     def clear(self) -> int:
-        """Delete every cached record; returns the number removed."""
-        removed = 0
-        for blob in self._store.list_blobs():
-            if self._store.delete(blob.name):
-                removed += 1
-        return removed
+        """Delete every entry, traces included; returns the number removed."""
+        return sum(self.remove(entry) for entry in self.index())

@@ -159,8 +159,9 @@ class ExperimentConfig:
         config or a mapping of app-config fields to replace.
         ``options`` and ``machine`` accept mappings merged over the
         existing tuples. Unknown keys — at the top level, inside an
-        ``app`` mapping, or inside a ``machine`` mapping — and an
-        impossible result raise :class:`ValueError`.
+        ``app`` mapping, naming an option the config does not have, or
+        inside a ``machine`` mapping — and an impossible result raise
+        :class:`ValueError`.
         """
         field_names = {f.name for f in fields(self)}
         changes: Dict[str, Any] = {}
@@ -175,6 +176,9 @@ class ExperimentConfig:
                 changes["app"] = replace(self.app, **value)
             elif name == "options":
                 merged = dict(self.options)
+                for key in value:
+                    if key not in merged:
+                        raise unknown(f"{self.exp_id} option", key, merged)
                 merged.update(value)
                 changes["options"] = tuple(sorted(merged.items()))
             elif name == "machine":

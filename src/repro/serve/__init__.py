@@ -10,58 +10,13 @@ bounded by a byte budget with stale-salt-first LRU eviction; a bounded
 queue answers overload with ``429`` + ``Retry-After`` instead of
 falling over. See ``docs/serve.md`` and :mod:`repro.serve.server`.
 
+The package re-exports nothing: import from the defining module, so
+the result cache, which needs only :mod:`repro.serve.store`, never
+loads the server.
+
 >>> from repro import api
 >>> server = api.serve(port=0, block=False)   # ephemeral port, background
 >>> server.url
 'http://127.0.0.1:...'
 >>> server.stop()
 """
-
-from repro.serve.admission import AdmissionError
-from repro.serve.coalesce import CoalescingRegistry
-from repro.serve.eviction import EvictionReport, enforce_budget, parse_bytes
-from repro.serve.jobqueue import (
-    DONE,
-    FAILED,
-    PENDING,
-    RUNNING,
-    Job,
-    JobQueue,
-    QueueShutdown,
-    inprocess_run_executor,
-    subprocess_run_executor,
-)
-from repro.serve.schemas import (
-    RunRequest,
-    SchemaError,
-    SweepRequest,
-    parse_run_request,
-    parse_sweep_request,
-)
-from repro.serve.server import ReproServer
-from repro.serve.store import BlobStat, LocalDirStore
-
-__all__ = [
-    "DONE",
-    "FAILED",
-    "PENDING",
-    "RUNNING",
-    "AdmissionError",
-    "BlobStat",
-    "CoalescingRegistry",
-    "EvictionReport",
-    "Job",
-    "JobQueue",
-    "LocalDirStore",
-    "QueueShutdown",
-    "ReproServer",
-    "RunRequest",
-    "SchemaError",
-    "SweepRequest",
-    "enforce_budget",
-    "inprocess_run_executor",
-    "parse_bytes",
-    "parse_run_request",
-    "parse_sweep_request",
-    "subprocess_run_executor",
-]

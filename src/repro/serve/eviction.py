@@ -1,22 +1,24 @@
 """Byte-budget eviction for the content-addressed result cache.
 
-``.repro_cache/`` grows by one JSON record per distinct configuration
-ever simulated; a long-running server sweeping large grids needs a
-bound. :func:`enforce_budget` trims the record set to a byte budget
-with a two-tier policy:
+``.repro_cache/`` grows by one entry per distinct configuration ever
+simulated: a JSON record, plus its trace if ``repro trace`` stored one.
+A long-running server sweeping large grids needs a bound.
+:func:`enforce_budget` trims the entries to a byte budget with a
+two-tier policy:
 
-1. **stale-salt records first** — records whose stored key no longer
+1. **stale entries first** — records whose stored key no longer
    matches a key recomputed under the current ``CODE_SALT`` / package
    version / record schema can never satisfy a lookup again (the cache
-   treats them as misses), so they are reclaimed before anything
-   live, oldest first;
+   treats them as misses), nor can a trace whose record is gone, so
+   they are reclaimed before anything live, oldest first;
 2. **then LRU by mtime** — cache *hits* bump a record's mtime
    (:meth:`ResultCache.load`), so mtime order is true
    least-recently-used order and hot records survive while cold ones
    go.
 
-Eviction is mechanically simple — delete files until under budget —
-and idempotent; the queue runs it after every record store.
+Eviction is mechanically simple — remove entries, each record with its
+trace (:meth:`ResultCache.remove`), until under budget — and
+idempotent; the queue runs it after every record store.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class EvictionReport:
 
 
 def enforce_budget(cache: ResultCache, budget_bytes: int) -> EvictionReport:
-    """Delete records (stale first, then oldest-mtime) until under budget."""
+    """Remove entries (stale first, then oldest-mtime) until under budget."""
     entries = cache.index()  # already oldest-mtime first
     total = sum(entry.bytes for entry in entries)
     report = EvictionReport(
@@ -58,10 +60,8 @@ def enforce_budget(cache: ResultCache, budget_bytes: int) -> EvictionReport:
     for entry in stale + fresh:
         if total <= budget_bytes:
             break
-        try:
-            entry.path.unlink()
-        except OSError:
-            continue
+        if not cache.remove(entry):
+            continue  # another pass removed it first
         total -= entry.bytes
         report.evicted.append(entry.path.name)
         report.stale_evicted += 1 if entry.stale else 0

@@ -2,7 +2,7 @@
 
 The content-addressed cache names every record by a pure function of
 its configuration; this module owns the files those names point at.
-:class:`LocalDirStore` keeps one JSON file per record in one directory
+:class:`LocalDirStore` keeps one JSON file per name under one directory
 and is safe under concurrent writers on one host — ``repro serve``'s
 worker threads, an in-process sweep, and a ``repro run`` in another
 process may all store the same record at once:
@@ -58,8 +58,8 @@ class LocalDirStore:
 
     def write(self, name: str, data: bytes) -> Path:
         """Atomically publish ``data`` under ``name`` (temp + replace)."""
-        self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(name)
+        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self._tmp_path(name)
         try:
             tmp.write_bytes(data)
@@ -87,20 +87,23 @@ class LocalDirStore:
         except OSError:
             return False
 
-    def list_blobs(self) -> List[BlobStat]:
-        """All ``*.json`` blobs, oldest mtime first.
+    def list_blobs(self, pattern: str = "*.json") -> List[BlobStat]:
+        """The blobs whose names match ``pattern``, oldest mtime first.
 
-        Tolerant of concurrent eviction: a file deleted between the
-        directory scan and its ``stat`` is simply skipped.
+        A name is relative to the directory (``traces/x.json`` for the
+        pattern ``traces/*.json``). Tolerant of concurrent eviction: a
+        file deleted between the directory scan and its ``stat`` is
+        simply skipped.
         """
         if not self.directory.is_dir():
             return []
         out: List[BlobStat] = []
-        for path in self.directory.glob("*.json"):
+        for path in self.directory.glob(pattern):
             try:
                 stat = path.stat()
             except OSError:
                 continue  # raced with a concurrent delete
-            out.append(BlobStat(path.name, stat.st_size, stat.st_mtime))
+            name = path.relative_to(self.directory).as_posix()
+            out.append(BlobStat(name, stat.st_size, stat.st_mtime))
         out.sort(key=lambda blob: (blob.mtime, blob.name))
         return out

@@ -44,3 +44,11 @@ def test_render_scorecard_format():
     assert "mse" in text
     assert "2.0p" in text
     assert "mean |error|" in text
+
+
+def test_render_scorecard_header_keeps_columns_apart():
+    rows = [FidelityRow("alcp", "MP relative to SM", 97.0, 98.0)]
+    lines = render_scorecard(rows).splitlines()
+    header, row = lines[2], lines[4]
+    assert header.split() == ["experiment", "metric", "paper", "run", "|err|"]
+    assert header.index("metric") == row.index("MP relative to SM")

@@ -136,6 +136,37 @@ def test_ls_and_clear(tmp_path):
     assert cache.clear() == 0
 
 
+def test_ls_lists_an_orphan_trace(tmp_path):
+    """A trace whose record is gone is an entry of its own, so the
+    listing's lines match its totals."""
+    cache = ResultCache(tmp_path)
+    cache.store(_record(cache_key(EXPERIMENTS["gauss"].config)))
+    (tmp_path / "traces").mkdir()
+    (tmp_path / "traces" / "mse-5483d769c198b393.json").write_text("{}")
+    lines = cache.ls()
+    assert len(lines) == cache.stats()["records"] == 2
+    (orphan,) = [line for line in lines if "traces/" in line]
+    assert orphan.startswith("mse ")
+    assert "salt:stale" in orphan
+    assert orphan.endswith("traces/mse-5483d769c198b393.json")
+
+
+def test_record_whose_trace_path_points_outside_still_hits(tmp_path):
+    """A record stored when ``trace_path`` could name any file (a
+    relative ``--out``) still loads as a hit, and the cache serves no
+    trace for it."""
+    cache = ResultCache(tmp_path / "cache")
+    config = EXPERIMENTS["gauss"].config
+    record = _record(cache_key(config))
+    record.trace_path = "t.json"
+    cache.store(record)
+    (tmp_path / "t.json").write_text('{"traceEvents": []}')
+    loaded = cache.load(config)
+    assert loaded is not None and loaded.cached
+    assert loaded.trace_path == "t.json"
+    assert cache.load_trace("gauss", record.cache_key) is None
+
+
 def test_env_var_controls_directory(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
     assert ResultCache().directory == tmp_path / "elsewhere"

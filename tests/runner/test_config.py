@@ -68,6 +68,16 @@ def test_with_overrides_suggests_close_match():
         EXPERIMENTS["gauss"].config.with_overrides({"app": {"nn": 8}})
 
 
+def test_with_overrides_unknown_option_rejected():
+    """An options override must name an option the experiment has: a
+    typo would otherwise simulate the default under a new cache key."""
+    with pytest.raises(
+        ValueError,
+        match=r"unknown alcp option 'asynchronus' \(did you mean 'asynchronous'\?\)",
+    ):
+        EXPERIMENTS["alcp"].config.with_overrides({"options": {"asynchronus": False}})
+
+
 def test_with_overrides_machine_channel():
     base = EXPERIMENTS["em3d"].config
     swept = base.with_overrides({"machine": {"network_latency": 50}})

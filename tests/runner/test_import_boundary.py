@@ -42,8 +42,9 @@ SETUP = (
 )
 
 
-def simulator_modules(code: str, tmp_path) -> list:
-    """The simulator modules a fresh interpreter holds after ``code``."""
+def simulator_modules(code: str, tmp_path, patterns=SIMULATOR) -> list:
+    """The simulator modules (or other ``patterns``) a fresh
+    interpreter holds after ``code``."""
     probe = code + "import json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, PYTHONPATH=path, REPRO_CACHE_DIR=str(tmp_path / "cache"))
@@ -53,7 +54,7 @@ def simulator_modules(code: str, tmp_path) -> list:
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    return [m for m in loaded if any(fnmatch.fnmatchcase(m, p) for p in SIMULATOR)]
+    return [m for m in loaded if any(fnmatch.fnmatchcase(m, p) for p in patterns)]
 
 
 @pytest.mark.parametrize("code", [SETUP, "import repro.cli\n"], ids=["setup", "cli"])
@@ -72,6 +73,16 @@ def test_warm_run_loads_no_simulator(tmp_path):
         "assert '(cached)' in err.getvalue(), err.getvalue()\n"
     )
     assert simulator_modules(warm_run, tmp_path) == []
+
+
+def test_result_cache_loads_no_server(tmp_path):
+    """The cache needs only the blob store, and ``repro.serve``
+    re-exports nothing, so a cache never loads the HTTP server."""
+    loaded = simulator_modules(
+        "from repro.runner.cache import ResultCache\nResultCache()\n",
+        tmp_path, patterns=("repro.serve", "repro.serve.*"),
+    )
+    assert loaded == ["repro.serve", "repro.serve.store"]
 
 
 def test_top_level_machine_names_load_on_first_use(tmp_path):

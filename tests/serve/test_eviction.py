@@ -39,6 +39,16 @@ def store_record(cache, seed, payload_bytes=0, mtime=None, stale=False):
     return config, path
 
 
+def store_traced(cache, seed, trace_bytes=20000, mtime=None):
+    """A record stored with a trace of about ``trace_bytes`` bytes."""
+    config, path = store_record(cache, seed)
+    trace = {"traceEvents": [], "pad": "#" * trace_bytes}
+    cache.store(cache.load(config), trace=trace)
+    if mtime is not None:
+        os.utime(path, (mtime, mtime))
+    return config, path
+
+
 @pytest.fixture
 def cache(tmp_path):
     return ResultCache(tmp_path / "cache")
@@ -147,6 +157,35 @@ class TestEnforceBudget:
         # The two youngest (smallest age multiplier) survive.
         assert survivors == [paths[0], paths[1]]
         assert report.evicted_count == 4
+
+
+class TestTraces:
+    """A record and its trace are one entry: sized, evicted together."""
+
+    def test_budget_below_one_traced_record_evicts_record_and_trace(self, cache):
+        _, path = store_traced(cache, seed=1)
+        report = enforce_budget(cache, budget_bytes=path.stat().st_size)
+        assert report.evicted == [path.name]
+        assert [p for p in cache.directory.rglob("*") if p.is_file()] == []
+
+    def test_total_bytes_counts_trace_bytes(self, cache):
+        _, path = store_traced(cache, seed=1, trace_bytes=20000)
+        files = list(cache.directory.rglob("*.json"))
+        assert len(files) == 2
+        total = sum(p.stat().st_size for p in files)
+        assert cache.total_bytes() == total > path.stat().st_size + 20000
+
+    def test_orphan_trace_is_stale_and_evicted_first(self, cache):
+        now = time.time()
+        _, old = store_record(cache, seed=1, payload_bytes=4000, mtime=now - 300)
+        _, gone = store_traced(cache, seed=2, mtime=now - 10)
+        gone.unlink()  # a record deleted behind the cache's back
+        (orphan,) = [entry for entry in cache.index() if entry.record is None]
+        assert orphan.stale and orphan.path.name == gone.name
+        report = enforce_budget(cache, budget_bytes=old.stat().st_size)
+        assert report.evicted == [gone.name]
+        assert report.stale_evicted == 1
+        assert [p for p in cache.directory.rglob("*") if p.is_file()] == [old]
 
 
 class TestParseBytes:

@@ -15,7 +15,7 @@ import pytest
 
 from repro import api
 from repro.runner.cache import ResultCache
-from repro.serve import inprocess_run_executor
+from repro.serve.jobqueue import inprocess_run_executor
 
 
 @pytest.fixture(scope="module")
@@ -234,10 +234,13 @@ class TestErrors:
             ("/v1/runs", {"experiment": "validation", "overrides": {"cache_bytes": 0}},
              "cache_bytes must be >= 1, got 0"),
             ("/v1/runs", {"experiment": "em3"}, "(did you mean 'em3d'?)"),
+            ("/v1/runs",
+             {"experiment": "alcp", "overrides": {"options": {"asynchronus": False}}},
+             "unknown alcp option 'asynchronus' (did you mean 'asynchronous'?)"),
         ],
         ids=["sweep-axis-typo", "sweep-negative-latency", "sweep-zero-procs",
              "sweep-second-axis", "run-zero-procs", "run-string-procs", "run-zero-cache",
-             "run-experiment-typo"],
+             "run-experiment-typo", "run-option-typo"],
     )
     def test_unrunnable_request_400_and_nothing_queued(
         self, server, path, body, message

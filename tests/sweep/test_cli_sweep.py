@@ -154,6 +154,29 @@ def test_sweep_impossible_axis_value_exits_2_before_any_point(capsys):
     assert "[1/" not in err
 
 
+def test_sweep_option_typo_exits_2_before_any_point(monkeypatch, capsys):
+    """An ``options.*`` axis must name an option the experiment has."""
+    exp = experiments.ExperimentSpec(
+        id="fake_opt", title="f", paper_tables="none", description="d",
+        runner=lambda config: {"value": 1.0},
+        config=ExperimentConfig(exp_id="fake_opt", options=(("asynchronous", False),)),
+        shape=lambda r: [("ran", True, "ok")], paper={},
+    )
+    monkeypatch.setitem(experiments.EXPERIMENTS, "fake_opt", exp)
+    spec = SweepSpec(
+        name="opt", exp_id="fake_opt",
+        axes=(("options.asynchronous", (False, True)),),
+        metrics=("value",),
+        extra_metrics={"value": lambda s: s["data"]["value"]},
+    )
+    monkeypatch.setitem(sweep_specs.SWEEP_SPECS, "opt", spec)
+    assert main(["sweep", "opt", "--jobs", "1",
+                 "--axis", "options.asynchronus=0"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown fake_opt option 'asynchronus' (did you mean 'asynchronous'?)" in err
+    assert "[1/" not in err
+
+
 def test_sweep_help_lists_shared_flags(capsys):
     from repro.cli import build_parser
 
