@@ -199,7 +199,10 @@ def serve(
     :class:`~repro.serve.server.ReproServer` (``port=0`` picks an
     ephemeral port — read ``server.url``). Remaining keyword arguments
     pass through to the server constructor (``cache``,
-    ``run_executor``, ``retention_seconds``, ``quiet``, ...).
+    ``run_executor``, ``retention_seconds``, ``quiet``, ...). An
+    unusable cache directory raises
+    :class:`~repro.runner.cache.CacheDirectoryError` before the port
+    is bound.
     """
     from repro.serve.server import ReproServer
 

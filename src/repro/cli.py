@@ -67,7 +67,7 @@ from typing import List, Optional
 
 from repro.core.experiments import EXPERIMENTS, get_experiment
 from repro.runner.api import execute, resolve_config
-from repro.runner.cache import ResultCache
+from repro.runner.cache import CacheDirectoryError, ResultCache
 from repro.runner.executor import default_jobs
 from repro.runner.record import RunRecord
 
@@ -454,6 +454,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     # (unless --force); a --procs/--max-events slice or a --no-cache
     # trace never enters the cache.
     full = args.procs is None and args.max_events is None and not args.no_cache
+    if full:
+        cache.check_directory()
     doc = cache.load_trace(config.exp_id, key) if full and not args.force else None
     if doc is not None:
         where = f"{cache.trace_path(config.exp_id, key)} (cached; --force re-simulates)"
@@ -1010,7 +1012,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except CacheDirectoryError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -152,7 +152,8 @@ def run_cached(
     interrupted run keeps its finished work and a rerun of the same
     call simulates only what is missing. ``progress(record, simulated)``
     is called once per distinct record. Returns records keyed by cache
-    key.
+    key. Before the first miss runs, an unusable cache directory raises
+    :class:`~repro.runner.cache.CacheDirectoryError`.
     """
     cache = cache if cache is not None else ResultCache()
     records: Dict[str, RunRecord] = {}
@@ -180,6 +181,8 @@ def run_cached(
             progress(record, True)
 
     if to_run:
+        if use_cache:
+            cache.check_directory()
         run_parallel(plan(to_run), jobs=jobs, progress=collect)
     return records
 

@@ -17,6 +17,14 @@ Hits also bump the record file's mtime, so mtime order is true LRU
 order and the byte-budget eviction policy (:mod:`repro.serve.eviction`)
 keeps hot records alive while old and stale-salt ones go first.
 
+A :class:`ResultCache` remembers the last :data:`RECORD_MEMO_SIZE`
+records it parsed, each with the identity (inode, size, mtime) of the
+file it parsed. A later hit on an unchanged file costs opening it, one
+``fstat`` and the mtime bump; a file stored, rewritten, replaced or
+deleted since is read and checked again, or is a miss. The bump goes
+through the open file, and its mtime becomes the remembered one, so
+only another process's bump forces a re-read.
+
 A record stored with its Chrome trace (``repro trace``) keeps the
 trace at ``traces/<record file name>``; the two are one cache entry,
 listed, sized, evicted and cleared together.
@@ -27,7 +35,9 @@ deletes files in the cache directory. File I/O goes through
 through a per-thread temp file and an atomic ``os.replace``: a
 ``repro serve`` worker, an in-process sweep and a ``repro run`` in
 another process may store the same record at once, and a reader sees
-either no file or a complete one.
+either no file or a complete one. A command that will store checks the
+directory first (:meth:`ResultCache.check_directory`), so an unusable
+one is a usage error before anything simulates.
 """
 
 from __future__ import annotations
@@ -35,13 +45,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.runner.config import ExperimentConfig
 from repro.runner.record import RECORD_SCHEMA, RunRecord
+
+if TYPE_CHECKING:  # pragma: no cover - importing repro.api loads no repro.serve
+    from repro.serve.store import FileIdentity
 
 #: Bump manually when simulator semantics change (cycle counts move).
 CODE_SALT = "repro-runner-v5"  # v5: em3d_bigcache/em3d_localalloc/alcp
@@ -57,8 +72,17 @@ ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 #: Where a traced record's trace lives, under the record's file name.
 TRACE_DIR = "traces"
 
+#: Parsed records a cache keeps in memory. A record file is at most
+#: ~10 KB and its parse ~21 KB, so the memo holds ~5 MB at most.
+RECORD_MEMO_SIZE = 256
+
 #: The keys of ``RunRecord.to_jsonable()``: a stored record's layout.
 _RECORD_KEYS = frozenset(RunRecord.__dataclass_fields__) - {"cached"}
+
+
+class CacheDirectoryError(ValueError):
+    """The cache directory cannot hold records: a usage error, raised
+    before anything simulates."""
 
 
 def cache_key(config: ExperimentConfig) -> str:
@@ -142,10 +166,32 @@ class ResultCache:
             if directory is not None
             else os.environ.get(ENV_CACHE_DIR, DEFAULT_CACHE_DIR)
         )
+        self._directory_checked = False
+        # Record file name -> (identity of the parsed file, parsed dict),
+        # least recently used first.
+        self._memo: OrderedDict[str, Tuple[FileIdentity, Dict[str, Any]]] = OrderedDict()
+        self._memo_lock = threading.Lock()
 
     @property
     def directory(self) -> Path:
         return self._store.directory
+
+    def check_directory(self) -> None:
+        """Create the cache directory if it is missing, or raise
+        :class:`CacheDirectoryError` naming it if it cannot hold
+        records. Called before the first store a command would make;
+        once it has passed, later calls cost nothing."""
+        if self._directory_checked:
+            return
+        try:
+            self._store.make_directory()
+        except OSError as exc:
+            raise CacheDirectoryError(
+                f"cache directory {self.directory} is unusable: "
+                f"{exc.strerror or exc} (set {ENV_CACHE_DIR} to a "
+                f"writable directory)"
+            ) from exc
+        self._directory_checked = True
 
     @staticmethod
     def _name(exp_id: str, key: str) -> str:
@@ -176,26 +222,62 @@ class ResultCache:
         The dict is the one parsed from the stored bytes, handed over
         without a ``RunRecord`` round trip (whose ``asdict`` would
         deep-copy every nested table): the serve warm path puts it
-        straight into the job envelope. The caller owns it.
+        straight into the job envelope. It is also the dict this cache
+        remembers and hands to every later caller while the file is
+        unchanged, so it is read-only: copy it before changing it.
         """
         name = self._name(exp_id, key)
-        raw = self._store.read(name)
-        if raw is None:
+        blob = self._store.open(name)
+        if blob is None:
+            self._forget(name)
             return None
+        with blob:
+            with self._memo_lock:
+                remembered = self._memo.get(name)
+            if remembered is not None and remembered[0] == blob.identity:
+                data = remembered[1]
+            else:
+                data = self._parse(blob.read(), key)
+                if data is None:
+                    self._forget(name)
+                    return None
+            # A hit is a "use" in LRU terms: bump the mtime so the
+            # eviction policy sees hot records as young. The bump goes to
+            # the file just checked, never to one published since, and
+            # the remembered identity takes its mtime, so it forces no
+            # re-read.
+            blob.touch()
+            self._remember(name, blob.identity, data)
+        return data
+
+    @staticmethod
+    def _parse(raw: bytes, key: str) -> Optional[Dict[str, Any]]:
+        """A stored record's bytes as its dict, or ``None`` if they are
+        not a record under ``key`` of this record schema."""
         try:
             data = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             return None
         if data.get("cache_key") != key or data.get("schema") != RECORD_SCHEMA:
             return None
-        # A hit is a "use" in LRU terms: bump the mtime so the
-        # eviction policy sees hot records as young.
-        self._store.touch(name)
         if data.keys() != _RECORD_KEYS:
             # An older record layout: fill in the fields added since
             # (and drop unknown ones) exactly as a RunRecord would.
             data = RunRecord.from_jsonable(data).to_jsonable()
         return data
+
+    def _remember(
+        self, name: str, identity: FileIdentity, data: Dict[str, Any]
+    ) -> None:
+        with self._memo_lock:
+            self._memo[name] = (identity, data)
+            self._memo.move_to_end(name)
+            if len(self._memo) > RECORD_MEMO_SIZE:
+                self._memo.popitem(last=False)
+
+    def _forget(self, name: str) -> None:
+        with self._memo_lock:
+            self._memo.pop(name, None)
 
     def load_trace(self, exp_id: str, key: str) -> Optional[Dict[str, Any]]:
         """The trace stored with the record under ``key``, or ``None``.
@@ -223,6 +305,7 @@ class ResultCache:
         names it, so a reader that finds the record finds its trace.
         """
         name = self._name(record.exp_id, record.cache_key)
+        self._forget(name)
         if trace is not None:
             path = self._store.write(
                 self._trace_name(name), json.dumps(trace).encode("utf-8")
@@ -329,6 +412,7 @@ class ResultCache:
 
     def remove(self, entry: CacheEntry) -> bool:
         """Delete one entry, record and trace; False if both were gone."""
+        self._forget(entry.path.name)
         record_gone = self._store.delete(entry.path.name)
         trace_gone = self._store.delete(self._trace_name(entry.path.name))
         return record_gone or trace_gone

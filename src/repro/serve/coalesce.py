@@ -16,10 +16,13 @@ are never pruned. A pruned job ID is not lost information: run IDs are
 cache keys, so re-submitting the same body is answered warm from the
 result store.
 
-A ``force=True`` resubmission of a *finished* job replaces it with a
-fresh pending one (same ID — the content address did not change); an
-in-flight job is never replaced, because sharing the running
-simulation is strictly better than starting a second one.
+Coalescing is onto *in-flight* jobs only. A submission whose ID names
+a finished or failed job replaces it (same ID — the content address
+did not change): a warm answer with a fresh envelope, a cold one with
+a fresh pending job. So a failed run is retried, and a record removed
+from the cache since is simulated again, rather than answered from an
+old envelope. An in-flight job is never replaced, because sharing the
+running simulation is strictly better than starting a second one.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serve.jobqueue import Job
 
-#: States a force-resubmission may replace (terminal states only).
+#: Terminal states: a new submission replaces a job in one of these.
 _REPLACEABLE = ("done", "failed")
 
 
@@ -53,20 +56,15 @@ class CoalescingRegistry:
     def add_or_share(
         self,
         job: "Job",
-        replace_terminal: bool = False,
         admit: Optional[Callable[[], None]] = None,
     ) -> Tuple["Job", bool]:
-        """Register ``job``, or return the existing job with its ID.
+        """Register ``job``, or return the in-flight job with its ID.
 
-        Returns ``(job, created)``: ``created`` is ``False`` when an
-        earlier submission already owns the ID, in which case the
+        Returns ``(job, created)``: ``created`` is ``False`` when a
+        pending or running job already owns the ID, in which case the
         caller must *not* enqueue any work — the existing job's
-        execution (or finished result) serves this submission too.
-
-        ``replace_terminal`` lets a new job displace a finished/failed
-        one under the same ID (a warm cache answer superseding an old
-        envelope, or a ``force`` re-simulation); an in-flight job is
-        never displaced — sharing the running simulation is the point.
+        execution serves this submission too. A finished or failed job
+        under the ID is replaced by ``job``.
 
         ``admit`` (if given) runs under the registry lock immediately
         before the job would be inserted as *new*; raising from it
@@ -77,12 +75,7 @@ class CoalescingRegistry:
         with self._lock:
             self._prune_locked()
             existing = self._jobs.get(job.job_id)
-            if existing is not None:
-                if replace_terminal and existing.state in _REPLACEABLE:
-                    if admit is not None:
-                        admit()
-                    self._jobs[job.job_id] = job
-                    return job, True
+            if existing is not None and existing.state not in _REPLACEABLE:
                 existing.coalesced += 1
                 self._coalesced += 1
                 return existing, False

@@ -18,10 +18,17 @@ The three paths a submission can take:
 * **coalesced** — an identical job is pending or running: the
   submission attaches to it (``coalesced`` counts how many riders the
   job picked up) and no second simulation starts;
-* **cold** — the job enters the queue and a worker simulates it.
+* **cold** — the job enters the queue and a worker simulates it,
+  replacing any finished or failed job under the same ID.
   Cold admission is bounded: once ``max_pending`` jobs are waiting,
   new cold jobs are refused with
   :class:`~repro.serve.admission.AdmissionError` (HTTP ``429``).
+
+A run request's cache key is a pure function of its body for the life
+of the process, so the queue remembers the key of each request it has
+accepted: a repeated warm submission resolves and hashes no config,
+and :class:`~repro.runner.cache.ResultCache` serves its record from
+memory while the record file is unchanged.
 
 Shutdown is a graceful drain (:meth:`JobQueue.stop`): submissions are
 refused with :class:`QueueShutdown` (HTTP ``503``), jobs still waiting
@@ -35,11 +42,12 @@ touching the queue's concurrency behavior.
 
 from __future__ import annotations
 
+import json
 import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.runner.cache import ResultCache, cache_key
 from repro.runner.record import RunRecord
@@ -56,6 +64,10 @@ FAILED = "failed"
 
 #: Sentinel shutting a worker thread down.
 _STOP = object()
+
+#: Accepted run requests whose cache keys a queue remembers; the memo
+#: starts over when it reaches this size.
+KEY_MEMO_SIZE = 4096
 
 RunExecutor = Callable[[RunRequest], RunRecord]
 SweepExecutor = Callable[[SweepRequest, ResultCache], Any]
@@ -235,6 +247,8 @@ class JobQueue:
         self.last_finished_at: Optional[float] = None
         self._avg_seconds: Optional[float] = None
         self._queue: "queue.Queue[Any]" = queue.Queue()
+        # Canonical JSON of [experiment, overrides] -> (exp_id, cache key).
+        self._keys: Dict[str, Tuple[str, str]] = {}
         self._threads: list = []
         self._started = False
         self._stopping = False
@@ -314,15 +328,37 @@ class JobQueue:
 
     # -- submission --------------------------------------------------------
 
-    def submit_run(self, request: RunRequest) -> Job:
-        """Submit one experiment run; warm/coalesced/cold (see module doc)."""
+    def _resolve_key(self, request: RunRequest) -> Tuple[str, str]:
+        """The request's ``(exp_id, cache key)``; :class:`SchemaError`
+        if it cannot become a runnable config.
+
+        Only accepted requests are remembered, so a refused one is
+        resolved, and refused with the same text, every time. Overrides
+        that are not JSON (a programmatic request) skip the memo.
+        """
         from repro.runner.api import resolve_config
 
+        try:
+            body = json.dumps([request.exp_id, request.overrides], sort_keys=True)
+        except (TypeError, ValueError):
+            body = None
+        resolved = self._keys.get(body) if body is not None else None
+        if resolved is not None:
+            return resolved
         try:
             config = resolve_config(request.exp_id, request.overrides or None)
         except (KeyError, ValueError, TypeError) as exc:
             raise SchemaError(str(exc.args[0] if exc.args else exc)) from exc
-        key = cache_key(config)
+        resolved = config.exp_id, cache_key(config)
+        if body is not None:
+            if len(self._keys) >= KEY_MEMO_SIZE:
+                self._keys.clear()
+            self._keys[body] = resolved
+        return resolved
+
+    def submit_run(self, request: RunRequest) -> Job:
+        """Submit one experiment run; warm/coalesced/cold (see module doc)."""
+        exp_id, key = self._resolve_key(request)
         job = Job(
             job_id=key,
             kind="run",
@@ -335,27 +371,26 @@ class JobQueue:
 
         warm = None
         if not request.force:
-            warm = self.cache.load_jsonable(config.exp_id, key)
+            warm = self.cache.load_jsonable(exp_id, key)
         if warm is not None:
             job.started_at = job.submitted_at
             job.finish(warm, simulated=False)
 
-        # A warm answer or a force re-run may displace an old finished
-        # envelope under the same content hash; in-flight jobs are
-        # always shared instead (one simulation, N clients).
+        # The new job displaces a finished or failed envelope under the
+        # same content hash; an in-flight job is shared instead (one
+        # simulation, N clients).
         job, created = self.registry.add_or_share(
-            job,
-            replace_terminal=request.force or warm is not None,
-            admit=self._admit_cold if job.state == PENDING else None,
+            job, admit=self._admit_cold if job.state == PENDING else None
         )
         if created and job.state == PENDING:
             self._queue.put((job, request))
         return job
 
     def submit_sweep(self, request: SweepRequest) -> Job:
-        """Submit one sensitivity sweep (always queued; the engine
-        serves warm points from the cache internally). Every grid point
-        is resolved here, so a bad axis or value queues nothing."""
+        """Submit one sensitivity sweep (always queued unless an
+        identical sweep is in flight; the engine serves warm points
+        from the cache internally). Every grid point is resolved here,
+        so a bad axis or value queues nothing."""
         from repro.core.experiments import get_experiment
         from repro.sweep import get_sweep
 
@@ -375,9 +410,7 @@ class JobQueue:
                 "force": request.force,
             },
         )
-        job, created = self.registry.add_or_share(
-            job, replace_terminal=request.force, admit=self._admit_cold
-        )
+        job, created = self.registry.add_or_share(job, admit=self._admit_cold)
         if created and job.state == PENDING:
             self._queue.put((job, request))
         return job

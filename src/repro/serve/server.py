@@ -286,6 +286,9 @@ class ReproServer:
         quiet: bool = False,
     ) -> None:
         self.cache = cache if cache is not None else ResultCache()
+        # Refuse an unusable cache directory before binding the port,
+        # not in a worker after the first cold job has simulated.
+        self.cache.check_directory()
         self.queue = JobQueue(
             workers=jobs,
             cache=self.cache,

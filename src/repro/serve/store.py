@@ -12,16 +12,63 @@ process may all store the same record at once:
   two writers of one name never share a temp file and a reader sees
   either no record or one complete record;
 * scans skip files that vanish mid-scan (a concurrent eviction pass).
+
+A reader that remembers what it parsed checks a file through
+:meth:`LocalDirStore.open`: the :class:`OpenBlob` it returns holds the
+file open, so its identity (inode, size and mtime in nanoseconds), its
+bytes and its mtime bump all belong to one file, even when a writer
+publishes a new one under the name meanwhile and the new one reuses a
+freed inode number.
 """
 
 from __future__ import annotations
 
+import errno
 import itertools
 import os
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
+
+#: ``(st_ino, st_size, st_mtime_ns)`` of one stored file.
+FileIdentity = Tuple[int, int, int]
+
+
+class OpenBlob:
+    """One stored file, held open until :meth:`close` (or the end of a
+    ``with`` block): while it is open no other file can take its inode
+    number, so its identity names it alone."""
+
+    def __init__(self, fd: int) -> None:
+        self._fd = fd
+        stat = os.fstat(fd)
+        self.identity: FileIdentity = stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+    def read(self) -> bytes:
+        with open(self._fd, "rb", closefd=False) as handle:
+            return handle.read()
+
+    def touch(self) -> None:
+        """Set the file's mtime to now (LRU bookkeeping); the identity
+        takes the new mtime. A file this process may not touch keeps
+        its mtime."""
+        mtime_ns = time.time_ns()
+        try:
+            os.utime(self._fd, ns=(mtime_ns, mtime_ns))
+        except OSError:
+            return
+        self.identity = self.identity[0], self.identity[1], mtime_ns
+
+    def close(self) -> None:
+        os.close(self._fd)
+
+    def __enter__(self) -> "OpenBlob":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 @dataclass(frozen=True)
@@ -49,6 +96,27 @@ class LocalDirStore:
             f".{next(self._tmp_seq)}"
         )
 
+    def make_directory(self) -> None:
+        """Create the directory if it is missing; ``OSError`` if it
+        cannot hold blobs (a path through a regular file, say)."""
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        except FileExistsError:
+            raise NotADirectoryError(
+                errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(self.directory)
+            ) from None
+        if not os.access(self.directory, os.W_OK | os.X_OK):
+            raise PermissionError(
+                errno.EACCES, os.strerror(errno.EACCES), str(self.directory)
+            )
+
+    def open(self, name: str) -> Optional[OpenBlob]:
+        """The blob's file, held open, or ``None`` if absent."""
+        try:
+            return OpenBlob(os.open(self._path(name), os.O_RDONLY))
+        except OSError:
+            return None
+
     def read(self, name: str) -> Optional[bytes]:
         """The blob's bytes, or ``None`` if absent (or just evicted)."""
         try:
@@ -75,14 +143,6 @@ class LocalDirStore:
     def delete(self, name: str) -> bool:
         try:
             self._path(name).unlink()
-            return True
-        except OSError:
-            return False
-
-    def touch(self, name: str) -> bool:
-        """Bump the blob's mtime (LRU bookkeeping); False if absent."""
-        try:
-            os.utime(self._path(name), None)
             return True
         except OSError:
             return False

@@ -77,3 +77,12 @@ def test_facade_sweep_refuses_a_second_axis_on_a_checked_spec(tmp_path):
 def test_facade_sweep_unknown_name():
     with pytest.raises(ValueError, match="unknown sweep"):
         api.sweep("definitely-not-a-sweep")
+
+
+def test_facade_serve_refuses_an_unusable_cache_directory(tmp_path):
+    from repro.runner.cache import CacheDirectoryError, ResultCache
+
+    (tmp_path / "afile").write_text("")
+    cache = ResultCache(tmp_path / "afile" / "cache")
+    with pytest.raises(CacheDirectoryError, match="afile/cache is unusable"):
+        api.serve(port=0, block=False, cache=cache, quiet=True)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
@@ -85,6 +86,33 @@ def test_cache_ls_and_clear(capsys):
     assert "removed 1 records" in capsys.readouterr().out
     assert main(["cache", "ls"]) == 0
     assert "cache empty" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "validation", "--jobs", "1"],
+    ["trace", "validation"],
+    ["sweep", "em3d-latency", "--axis", "net_latency=0", "--jobs", "1"],
+])
+def test_unusable_cache_directory_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    """A cache directory under a regular file exits 2 naming it, before
+    anything simulates."""
+    (tmp_path / "afile").write_text("")
+    directory = tmp_path / "afile" / "cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(directory))
+
+    def never(config):
+        raise AssertionError("simulated despite an unusable cache")
+
+    for exp_id in ("validation", "em3d"):
+        spec = experiments.EXPERIMENTS[exp_id]
+        monkeypatch.setitem(experiments.EXPERIMENTS, exp_id,
+                            dataclasses.replace(spec, runner=never))
+    clear_memory_cache()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"repro {argv[0]}: error: cache directory {directory} is unusable" in captured.err
+    assert "[1/" not in captured.err
+    assert captured.out == ""
 
 
 def test_parser_rejects_no_command():

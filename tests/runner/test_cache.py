@@ -1,10 +1,15 @@
 """Tests for the content-addressed on-disk result cache."""
 
 import json
+import os
+
+import pytest
 
 from repro.core.experiments import EXPERIMENTS
+from repro.runner import cache as cache_module
 from repro.runner.cache import CODE_SALT, ResultCache, cache_key
 from repro.runner.record import RECORD_SCHEMA, RunRecord
+from repro.serve.store import OpenBlob
 
 
 def _record(key: str, exp_id: str = "gauss") -> RunRecord:
@@ -95,6 +100,87 @@ def test_load_jsonable_reads_an_older_layout_like_a_record(tmp_path):
     data["retired"] = 1
     path.write_text(json.dumps(data))
     assert cache.load_jsonable("gauss", key) == _record(key).to_jsonable()
+
+
+@pytest.fixture
+def record_reads(monkeypatch):
+    """One entry per record file the cache reads and parses."""
+    reads = []
+    read = OpenBlob.read
+
+    def counting(blob):
+        reads.append(blob.identity)
+        return read(blob)
+
+    monkeypatch.setattr(OpenBlob, "read", counting)
+    return reads
+
+
+def test_repeated_loads_of_an_unchanged_file_read_it_once(tmp_path, record_reads):
+    cache = ResultCache(tmp_path)
+    config = EXPERIMENTS["gauss"].config
+    record = _record(cache_key(config))
+    cache.store(record)
+    for _ in range(5):
+        assert cache.load_jsonable("gauss", record.cache_key) == record.to_jsonable()
+        assert cache.load(config).summary == record.summary
+    assert len(record_reads) == 1
+
+
+def test_a_record_stored_again_is_read_again(tmp_path):
+    cache = ResultCache(tmp_path)
+    key = cache_key(EXPERIMENTS["gauss"].config)
+    cache.store(_record(key))
+    assert cache.load_jsonable("gauss", key)["rendered"] == "table"
+    replaced = _record(key)
+    replaced.rendered = "replaced"
+    cache.store(replaced)
+    assert cache.load_jsonable("gauss", key)["rendered"] == "replaced"
+
+
+def test_a_file_rewritten_in_place_is_read_again(tmp_path, record_reads):
+    """Another writer rewriting the file in place, same size and inode,
+    is seen by its new mtime."""
+    cache = ResultCache(tmp_path)
+    key = cache_key(EXPERIMENTS["gauss"].config)
+    path = cache.store(_record(key))
+    assert cache.load_jsonable("gauss", key)["rendered"] == "table"
+    inode, size, mtime_ns = (path.stat().st_ino, path.stat().st_size,
+                             path.stat().st_mtime_ns)
+    path.write_text(path.read_text().replace('"table"', '"TABLE"'))
+    os.utime(path, ns=(mtime_ns + 10**9, mtime_ns + 10**9))
+    assert (path.stat().st_ino, path.stat().st_size) == (inode, size)
+    assert cache.load_jsonable("gauss", key)["rendered"] == "TABLE"
+    assert len(record_reads) == 2
+
+
+def test_a_deleted_file_is_a_miss(tmp_path):
+    cache = ResultCache(tmp_path)
+    key = cache_key(EXPERIMENTS["gauss"].config)
+    path = cache.store(_record(key))
+    assert cache.load_jsonable("gauss", key) is not None
+    path.unlink()
+    assert cache.load_jsonable("gauss", key) is None
+
+
+def test_the_record_memo_is_bounded(tmp_path, monkeypatch, record_reads):
+    monkeypatch.setattr(cache_module, "RECORD_MEMO_SIZE", 4)
+    cache = ResultCache(tmp_path)
+    config = EXPERIMENTS["gauss"].config
+    records = [_record(cache_key(config.with_overrides({"seed": seed})))
+               for seed in range(10)]
+    for record in records:
+        record.rendered = record.cache_key
+        cache.store(record)
+    for _ in range(2):
+        for record in records:
+            loaded = cache.load_jsonable("gauss", record.cache_key)
+            assert loaded == record.to_jsonable()
+            assert len(cache._memo) <= 4
+    assert len(record_reads) == 20  # each pass evicts what the next needs
+    for record in records[-4:]:
+        assert cache.load_jsonable("gauss", record.cache_key)["rendered"] == record.cache_key
+    assert len(record_reads) == 20  # the last four stay in memory
 
 
 def test_miss_on_config_change(tmp_path):

@@ -86,6 +86,16 @@ class TestAccounting:
         assert cache.load(config) is not None
         assert path.stat().st_mtime > before
 
+    def test_consecutive_hits_each_bump_mtime(self, cache):
+        """The second hit is served from memory and still counts as a use."""
+        config, path = store_record(cache, seed=1, mtime=time.time() - 500)
+        before = path.stat().st_mtime_ns
+        assert cache.load(config) is not None
+        first = path.stat().st_mtime_ns
+        time.sleep(0.01)
+        assert cache.load(config) is not None
+        assert before < first < path.stat().st_mtime_ns
+
 
 class TestEnforceBudget:
     def test_under_budget_is_a_noop(self, cache):

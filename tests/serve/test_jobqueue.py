@@ -166,24 +166,77 @@ class TestWarmPath:
             queue.stop()
 
     def test_warm_submission_hashes_its_config_once(self, cache, monkeypatch):
-        """The job ID and the cache read share one key computation."""
+        """The job ID and the cache read share one key computation, and
+        repeats of the request hash nothing and read no file again."""
         import repro.runner.cache as cache_module
         import repro.serve.jobqueue as jobqueue_module
+        from repro.serve.store import LocalDirStore, OpenBlob
 
         config = resolve_config("validation")
         cache.store(make_record(config, payload="warm"))
-        keyed = []
+        keyed, reads = [], []
 
         def counting_key(config):
             keyed.append(config)
             return cache_key(config)
 
+        def counting(read):
+            def wrapper(*args):
+                reads.append(args)
+                return read(*args)
+            return wrapper
+
         monkeypatch.setattr(jobqueue_module, "cache_key", counting_key)
         monkeypatch.setattr(cache_module, "cache_key", counting_key)
+        monkeypatch.setattr(LocalDirStore, "read", counting(LocalDirStore.read))
+        monkeypatch.setattr(OpenBlob, "read", counting(OpenBlob.read))
         queue = JobQueue(cache=cache, run_executor=CountingExecutor())
-        job = queue.submit_run(RunRequest(exp_id="validation"))
-        assert job.state == DONE and job.simulated is False
+        for _ in range(5):
+            job = queue.submit_run(RunRequest(exp_id="validation"))
+            assert job.state == DONE and job.simulated is False
+            assert job.result["rendered"] == "warm"
         assert len(keyed) == 1
+        assert len(reads) == 1
+
+    def test_warm_read_after_a_force_rerun_is_the_new_record(self, cache):
+        """A record replaced by a force re-run is never served from memory."""
+        payloads = iter(["first", "forced"])
+
+        def executor(request):
+            config = resolve_config(request.exp_id, request.overrides or None)
+            return make_record(config, payload=next(payloads))
+
+        queue = make_queue(cache, executor)
+        try:
+            first = queue.submit_run(RunRequest(exp_id="validation"))
+            assert first.wait(10) and first.state == DONE
+            warm = queue.submit_run(RunRequest(exp_id="validation"))
+            assert warm.simulated is False and warm.result["rendered"] == "first"
+            forced = queue.submit_run(RunRequest(exp_id="validation", force=True))
+            assert forced.wait(10) and forced.result["rendered"] == "forced"
+            again = queue.submit_run(RunRequest(exp_id="validation"))
+            assert again.state == DONE and again.simulated is False
+            assert again.result["rendered"] == "forced"
+        finally:
+            queue.stop()
+
+    def test_resubmission_after_cache_clear_simulates(self, cache):
+        """A finished envelope never answers for a record the cache no
+        longer holds."""
+        executor = CountingExecutor()
+        queue = make_queue(cache, executor)
+        try:
+            first = queue.submit_run(RunRequest(exp_id="validation"))
+            assert first.wait(10) and first.state == DONE
+            assert cache.clear() == 1
+            again = queue.submit_run(RunRequest(exp_id="validation"))
+            assert again is not first
+            assert again.wait(10) and again.state == DONE
+            assert again.simulated is True
+            assert executor.calls == 2
+            assert cache.load(resolve_config("validation")) is not None
+        finally:
+            queue.stop()
 
     def test_resubmission_after_cold_run_is_warm(self, cache):
         executor = CountingExecutor()
@@ -227,6 +280,36 @@ class TestFailuresAndValidation:
             assert "injected simulation failure" in job.error
         finally:
             queue.stop()
+
+    def test_failed_run_is_retried_on_resubmission(self, cache):
+        """Coalescing is onto in-flight jobs only: a failed job does not
+        absorb the identical resubmission."""
+        executor = CountingExecutor(fail=True)
+        queue = make_queue(cache, executor)
+        try:
+            first = queue.submit_run(RunRequest(exp_id="validation"))
+            assert first.wait(10) and first.state == FAILED
+            executor.fail = False
+            again = queue.submit_run(RunRequest(exp_id="validation"))
+            assert again is not first and again.coalesced == 0
+            assert again.wait(10) and again.state == DONE
+            assert again.simulated is True
+            assert executor.calls == 2
+        finally:
+            queue.stop()
+
+    def test_refused_request_is_refused_every_time(self, cache):
+        queue = JobQueue(cache=cache, run_executor=CountingExecutor())
+        request = RunRequest(
+            exp_id="alcp", overrides={"options": {"asynchronus": False}}
+        )
+        errors = set()
+        for _ in range(3):
+            with pytest.raises(SchemaError, match="did you mean") as raised:
+                queue.submit_run(request)
+            errors.add(str(raised.value))
+        assert len(errors) == 1
+        assert queue.registry.jobs() == []
 
     def test_unknown_experiment_rejected_at_submission(self, cache):
         queue = JobQueue(cache=cache, run_executor=CountingExecutor())
@@ -299,6 +382,29 @@ class TestSweepJobs:
             assert len(calls) == 1
         finally:
             gate.set()
+            queue.stop()
+
+
+    def test_identical_finished_sweep_is_queued_again(self, cache):
+        calls = []
+
+        def sweep_executor(request, the_cache):
+            calls.append(request)
+            return {"meta": {"simulated": 0 if len(calls) > 1 else 1}}
+
+        queue = JobQueue(cache=cache, sweep_executor=sweep_executor)
+        queue.start()
+        try:
+            request = SweepRequest(
+                spec="em3d-latency", axes={"net_latency": [0, 50]}
+            )
+            first = queue.submit_sweep(request)
+            assert first.wait(10) and first.simulated is True
+            again = queue.submit_sweep(request)
+            assert again is not first and again.coalesced == 0
+            assert again.wait(10) and again.simulated is False
+            assert len(calls) == 2
+        finally:
             queue.stop()
 
 

@@ -35,7 +35,7 @@ class TestLocalDirStore:
     def test_read_missing_returns_none(self, tmp_path):
         store = LocalDirStore(tmp_path)
         assert store.read("nope.json") is None
-        assert store.touch("nope.json") is False
+        assert store.open("nope.json") is None
         assert store.delete("nope.json") is False
 
 
@@ -94,6 +94,51 @@ class TestConcurrentWriters:
         assert store.read("contended.json") in payloads
         # No temp droppings left behind.
         assert list(tmp_path.glob("*.tmp.*")) == []
+
+    def test_loads_racing_stores_never_serve_a_replaced_record(self, tmp_path):
+        """Readers going through the record memo while one writer keeps
+        replacing the record with same-sized ones, whose files reuse
+        freed inode numbers: the writer's own load after each store is
+        the record it just stored. (A reader that bumped the mtime by
+        path could stamp its bump on a newer file at a reused inode, and
+        the memo then served the older record.)"""
+        cache = ResultCache(tmp_path)
+        config = resolve_config("validation")
+        key = cache_key(config)
+        records = [make_record(config, payload=f"v{i}") for i in range(10)]
+        cache.store(records[0])
+        stop = threading.Event()
+        errors, stale = [], []
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    assert cache.load_jsonable("validation", key) is not None
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.time() + 1.5
+            stored = 0
+            while time.time() < deadline:
+                stored += 1
+                record = records[stored % len(records)]
+                cache.store(record)
+                loaded = cache.load_jsonable("validation", key)["rendered"]
+                if loaded != record.rendered:
+                    stale.append((record.rendered, loaded))
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(5)
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert not stale, f"{len(stale)} stale loads of {stored}: {stale[:3]}"
 
     def test_store_while_evict(self, tmp_path):
         """Writers racing an eviction pass: no exceptions, budget

@@ -22,9 +22,16 @@ the background; locally: ``python -m repro serve --port 8737 &``):
 7. send back-to-back warm reads over one persistent connection and
    require their median under a budget — guards against the ~40 ms
    per-request stall of a server that leaves Nagle's algorithm on;
-8. submit a sweep with an impossible axis value and a run with no
-   processors, and require a ``400`` for each with no new job in
-   ``GET /v1/jobs`` — bad input is refused before anything is queued.
+8. run ``repro cache clear`` in a second process against the cache
+   directory ``/healthz`` reports, and require the identical request to
+   simulate again (``202``, then ``done`` with ``simulated: true``) —
+   a finished envelope never answers for a record the cache lost;
+9. re-run the request with ``force: true`` and require the next warm
+   read to carry the forced run's ``elapsed_seconds`` — a replaced
+   record is never served from the server's memory;
+10. submit a sweep with an impossible axis value and a run with no
+    processors, and require a ``400`` for each with no new job in
+    ``GET /v1/jobs`` — bad input is refused before anything is queued.
 
 Exit code 0 on success, 1 on any violated expectation (with a message
 on stderr). Stdlib only — usable from CI, cron, or a shell.
@@ -35,7 +42,9 @@ from __future__ import annotations
 import argparse
 import http.client
 import json
+import os
 import statistics
+import subprocess
 import sys
 import time
 import urllib.error
@@ -182,6 +191,53 @@ def check_warm_keepalive(url: str, body: dict) -> list:
     return []
 
 
+def check_cold_after_cache_clear(url: str, body: dict, timeout: float) -> list:
+    """After ``repro cache clear`` in another process, the identical
+    request simulates again instead of answering from its old job."""
+    _status, health = get(url, "/healthz")
+    directory = health["cache"]["directory"]
+    cleared = subprocess.run(
+        [sys.executable, "-m", "repro", "cache", "clear"],
+        env=dict(os.environ, REPRO_CACHE_DIR=directory),
+        capture_output=True, text=True, timeout=60,
+    )
+    if cleared.returncode != 0:
+        return [f"repro cache clear of {directory} failed: {cleared.stderr}"]
+    status, job = post(url, "/v1/runs", body)
+    if status != 202:
+        return [f"request after cache clear: HTTP {status}, "
+                f"state={job['state']}, simulated={job['simulated']} "
+                "(expected 202: the record is gone)"]
+    job = poll_job(url, job["job_id"], timeout)
+    if job["state"] != "done" or job["simulated"] is not True:
+        return [f"request after cache clear: state={job['state']}, "
+                f"simulated={job['simulated']} (expected done, simulated)"]
+    print(f"cache clear: {cleared.stdout.strip()}; the identical request "
+          "simulated again")
+    return []
+
+
+def check_warm_after_force(url: str, body: dict, timeout: float) -> list:
+    """A warm read after a force re-run carries the re-run's record."""
+    status, job = post(url, "/v1/runs", dict(body, force=True))
+    job = poll_job(url, job["job_id"], timeout)
+    if job["state"] != "done" or job["simulated"] is not True:
+        return [f"force re-run: HTTP {status}, state={job['state']}, "
+                f"simulated={job['simulated']}"]
+    forced = job["result"]["elapsed_seconds"]
+    status, warm = post(url, "/v1/runs", body)
+    if status != 200 or warm["simulated"] is not False:
+        return [f"warm read after force: HTTP {status}, "
+                f"simulated={warm['simulated']}"]
+    if warm["result"]["elapsed_seconds"] != forced:
+        return [f"warm read after force carries elapsed_seconds "
+                f"{warm['result']['elapsed_seconds']}, the forced run "
+                f"stored {forced}"]
+    print(f"force: the next warm read carries the re-run's record "
+          f"(elapsed_seconds {forced})")
+    return []
+
+
 #: Requests that cannot become a runnable config: each must be refused
 #: at submit (``400``) and queue nothing.
 UNRUNNABLE = (
@@ -269,6 +325,8 @@ def main(argv=None) -> int:
     failures.extend(check_long_poll(url, job["job_id"]))
     failures.extend(check_keepalive(url, body))
     failures.extend(check_warm_keepalive(url, body))
+    failures.extend(check_cold_after_cache_clear(url, body, args.job_timeout))
+    failures.extend(check_warm_after_force(url, body, args.job_timeout))
     failures.extend(check_refused_before_queueing(url))
 
     status, health = get(url, "/healthz")
