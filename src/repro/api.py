@@ -198,8 +198,8 @@ def serve(
     until interrupted; with ``block=False`` it returns the started
     :class:`~repro.serve.server.ReproServer` (``port=0`` picks an
     ephemeral port — read ``server.url``). Remaining keyword arguments
-    pass through to the server constructor (``cache``,
-    ``run_executor``, ``retention_seconds``, ``quiet``, ...). An
+    pass through to the server constructor (``cache``, ``executor``,
+    ``retention_seconds``, ``quiet``, ...). An
     unusable cache directory raises
     :class:`~repro.runner.cache.CacheDirectoryError` before the port
     is bound.

@@ -311,7 +311,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             specs = [get_sweep(args.spec)]
         for spec in specs:
-            spec.with_axes(axes).grid(get_experiment(spec.exp_id).config)
+            spec.with_axes(axes).grid()
     except (KeyError, ValueError, TypeError) as exc:
         print(f"repro sweep: error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2

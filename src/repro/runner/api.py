@@ -117,7 +117,8 @@ def memo_scope() -> Iterator[None]:
     machines its runs built (machines are reference cycles, so nothing
     frees them until the cycle collector runs). It never drops an entry
     a caller memoized before it, nor one another thread memoized (the
-    ``repro serve`` queue runs groups on two threads).
+    ``repro serve`` queue with the in-process executor runs jobs on two
+    threads).
     """
     if _SCOPE.get() is not None:
         yield

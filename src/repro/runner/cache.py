@@ -258,7 +258,11 @@ class ResultCache:
             data = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             return None
-        if data.get("cache_key") != key or data.get("schema") != RECORD_SCHEMA:
+        if (
+            not isinstance(data, dict)
+            or data.get("cache_key") != key
+            or data.get("schema") != RECORD_SCHEMA
+        ):
             return None
         if data.keys() != _RECORD_KEYS:
             # An older record layout: fill in the fields added since

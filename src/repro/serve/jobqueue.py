@@ -2,13 +2,13 @@
 
 Submissions become :class:`Job` objects with content-hash IDs (a run's
 ID is its config's cache key; a sweep's ID is its grid key) and flow
-through a bounded pool of worker threads. Each worker drives one job
-at a time through an *executor* — by default the run executor ships
-the simulation to a spawned worker process running
-:func:`repro.runner.executor.run_group`, so the GIL-heavy simulation
-never stalls the HTTP threads — and writes the finished
-record back to the content-addressed cache, then enforces the cache
-byte budget (:mod:`repro.serve.eviction`).
+through a bounded pool of worker threads. A job is one library call,
+:func:`run_job`: :func:`repro.api.record_for` or
+:func:`repro.api.sweep` on the result cache, which loads, simulates
+and stores. A worker thread hands each job to the *executor*, by
+default :func:`spawned_executor`, which makes that call in a spawned
+worker process, so nothing simulates on the server's interpreter; then
+it enforces the cache byte budget (:mod:`repro.serve.eviction`).
 
 The three paths a submission can take:
 
@@ -18,8 +18,10 @@ The three paths a submission can take:
 * **coalesced** — an identical job is pending or running: the
   submission attaches to it (``coalesced`` counts how many riders the
   job picked up) and no second simulation starts;
-* **cold** — the job enters the queue and a worker simulates it,
-  replacing any finished or failed job under the same ID.
+* **cold** — the job enters the queue and its library call simulates
+  it in a spawned worker process, replacing any finished or failed job
+  under the same ID. A run whose record was stored while it waited is
+  served by that call from the cache, with ``simulated: false``.
   Cold admission is bounded: once ``max_pending`` jobs are waiting,
   new cold jobs are refused with
   :class:`~repro.serve.admission.AdmissionError` (HTTP ``429``).
@@ -35,9 +37,10 @@ refused with :class:`QueueShutdown` (HTTP ``503``), jobs still waiting
 for a worker fail immediately with a "server shutting down" error so
 clients unblock, and running jobs get ``timeout`` seconds to finish.
 
-Executors are injectable (``run_executor``/``sweep_executor``) so
-tests can count simulations or substitute canned results without
-touching the queue's concurrency behavior.
+The executor, ``executor(request, cache_dir) -> (payload, simulated)``,
+is injectable, so tests can count simulations or substitute canned
+results without touching the queue's concurrency behavior;
+:func:`run_job` itself is the in-process executor.
 """
 
 from __future__ import annotations
@@ -47,10 +50,10 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from pathlib import Path
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.runner.cache import ResultCache, cache_key
-from repro.runner.record import RunRecord
 from repro.serve.admission import AdmissionError
 from repro.serve.coalesce import CoalescingRegistry
 from repro.serve.eviction import enforce_budget
@@ -69,8 +72,8 @@ _STOP = object()
 #: starts over when it reaches this size.
 KEY_MEMO_SIZE = 4096
 
-RunExecutor = Callable[[RunRequest], RunRecord]
-SweepExecutor = Callable[[SweepRequest, ResultCache], Any]
+Request = Union[RunRequest, SweepRequest]
+Executor = Callable[[Request, Path], Tuple[Dict[str, Any], bool]]
 
 
 class QueueShutdown(Exception):
@@ -175,45 +178,49 @@ class Job:
 
 
 # ---------------------------------------------------------------------------
-# Default executors: simulate via the spawn-based process machinery.
+# A job is one library call.
 # ---------------------------------------------------------------------------
 
 
-def subprocess_run_executor(request: RunRequest) -> RunRecord:
-    """Simulate one experiment in a spawned worker process.
+def run_job(request: Request, cache_dir: Path) -> Tuple[Dict[str, Any], bool]:
+    """Run one job on the result cache in ``cache_dir``; returns
+    ``(payload, simulated)``.
+
+    The runner's cache-first loop serves stored records and simulates
+    and stores the rest. Must stay a top-level function: it is pickled
+    by name when shipped to a spawned worker.
+    """
+    cache = ResultCache(cache_dir)
+    if isinstance(request, SweepRequest):
+        from repro.api import sweep
+
+        payload = sweep(
+            request.spec,
+            axes=request.axes or None,
+            jobs=request.jobs,
+            cache=cache,
+            force=request.force,
+        ).to_jsonable()
+        return payload, bool(payload["meta"]["simulated"])
+    from repro.runner.api import record_for
+
+    record = record_for(
+        request.exp_id, request.overrides or None, cache=cache, force=request.force
+    )
+    return record.to_jsonable(), not record.cached
+
+
+def spawned_executor(request: Request, cache_dir: Path) -> Tuple[Dict[str, Any], bool]:
+    """The default executor: :func:`run_job` in a spawned worker process.
 
     The queue's worker thread only blocks on the future, keeping the
-    HTTP threads responsive while the simulation burns CPU in another
-    process. The pool is built here because
-    :func:`~repro.runner.executor.run_parallel` keeps a single group
-    in this process.
+    HTTP threads responsive while the job burns CPU in another
+    interpreter.
     """
-    from repro.runner.executor import run_group, spawn_pool
+    from repro.runner.executor import spawn_pool
 
     with spawn_pool(1) as pool:
-        item = (request.exp_id, request.overrides or None)
-        return pool.submit(run_group, [item]).result()[0]
-
-
-def inprocess_run_executor(request: RunRequest) -> RunRecord:
-    """Simulate in this process, so tests can drive the queue without
-    spawning (``repro serve`` always uses the spawned executor)."""
-    from repro.runner.executor import run_group
-
-    return run_group([(request.exp_id, request.overrides or None)])[0]
-
-
-def default_sweep_executor(request: SweepRequest, cache: ResultCache) -> Any:
-    """Run one sweep through :func:`repro.api.sweep` (cache-aware)."""
-    from repro import api
-
-    return api.sweep(
-        request.spec,
-        axes=request.axes or None,
-        jobs=request.jobs,
-        cache=cache,
-        force=request.force,
-    )
+        return pool.submit(run_job, request, cache_dir).result()
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +236,7 @@ class JobQueue:
         workers: int = 2,
         cache: Optional[ResultCache] = None,
         cache_budget_bytes: Optional[int] = None,
-        run_executor: Optional[RunExecutor] = None,
-        sweep_executor: Optional[SweepExecutor] = None,
+        executor: Optional[Executor] = None,
         max_pending: Optional[int] = None,
         retention_seconds: Optional[float] = 3600.0,
         max_terminal: Optional[int] = 1024,
@@ -238,8 +244,7 @@ class JobQueue:
         self.workers = max(1, workers)
         self.cache = cache if cache is not None else ResultCache()
         self.cache_budget_bytes = cache_budget_bytes
-        self.run_executor = run_executor or subprocess_run_executor
-        self.sweep_executor = sweep_executor or default_sweep_executor
+        self.executor = executor or spawned_executor
         self.max_pending = max_pending
         self.registry = CoalescingRegistry(
             retention_seconds=retention_seconds, max_terminal=max_terminal
@@ -391,12 +396,11 @@ class JobQueue:
         identical sweep is in flight; the engine serves warm points
         from the cache internally). Every grid point is resolved here,
         so a bad axis or value queues nothing."""
-        from repro.core.experiments import get_experiment
         from repro.sweep import get_sweep
 
         try:
             spec = get_sweep(request.spec).with_axes(request.axes or None)
-            spec.grid(get_experiment(spec.exp_id).config)
+            spec.grid()
         except (KeyError, ValueError, TypeError) as exc:
             raise SchemaError(str(exc.args[0] if exc.args else exc)) from exc
 
@@ -426,10 +430,7 @@ class JobQueue:
             if not job.try_start():
                 continue  # failed by a drain, or displaced
             try:
-                if job.kind == "run":
-                    self._execute_run(job, request)
-                else:
-                    self._execute_sweep(job, request)
+                self._execute(job, request)
             except Exception as exc:  # noqa: BLE001 - jobs report, not crash
                 job.fail(f"{type(exc).__name__}: {exc}")
             self._note_finished(job)
@@ -443,33 +444,11 @@ class JobQueue:
                 else 0.8 * self._avg_seconds + 0.2 * elapsed
             )
 
-    def _execute_run(self, job: Job, request: RunRequest) -> None:
-        # While this job sat in the queue a sweep point or a ``repro
-        # run`` may have stored the record; serve it instead of
-        # re-simulating.
-        if not request.force:
-            warm = self.cache.load_jsonable(request.exp_id, job.job_id)
-            if warm is not None:
-                job.finish(warm, simulated=False)
-                return
-
-        record = self.run_executor(request)
-        self.cache.store(record)
-        self._enforce_budget()
-        job.finish(record.to_jsonable(), simulated=True)
-
-    def _execute_sweep(self, job: Job, request: SweepRequest) -> None:
-        result = self.sweep_executor(request, self.cache)
-        payload = result.to_jsonable() if hasattr(result, "to_jsonable") else result
-        simulated = True
-        if isinstance(payload, dict):
-            simulated = bool(payload.get("meta", {}).get("simulated", 1))
-        self._enforce_budget()
-        job.finish(payload, simulated=simulated)
-
-    def _enforce_budget(self) -> None:
+    def _execute(self, job: Job, request: Request) -> None:
+        payload, simulated = self.executor(request, self.cache.directory)
         if self.cache_budget_bytes is not None:
             enforce_budget(self.cache, self.cache_budget_bytes)
+        job.finish(payload, simulated)
 
     # -- introspection -----------------------------------------------------
 

@@ -2,9 +2,10 @@
 
 A :class:`ReproServer` is a ``ThreadingHTTPServer`` front end over a
 :class:`~repro.serve.jobqueue.JobQueue`: HTTP threads only parse,
-validate, and consult the registry/cache — every simulation happens in
-the queue's workers (which themselves ship work to spawned processes),
-so the service stays responsive while experiments run.
+validate, and consult the registry/cache. Every job, run or sweep, is
+one library call in a spawned worker process (the queue's
+``executor``), which simulates and stores the records, so the service
+stays responsive while experiments run.
 
 Endpoints (all JSON)::
 
@@ -278,8 +279,7 @@ class ReproServer:
         jobs: int = 2,
         cache: Optional[ResultCache] = None,
         cache_budget_bytes: Optional[int] = None,
-        run_executor=None,
-        sweep_executor=None,
+        executor=None,
         max_pending: Optional[int] = 64,
         retention_seconds: Optional[float] = 3600.0,
         max_terminal_jobs: Optional[int] = 1024,
@@ -293,8 +293,7 @@ class ReproServer:
             workers=jobs,
             cache=self.cache,
             cache_budget_bytes=cache_budget_bytes,
-            run_executor=run_executor,
-            sweep_executor=sweep_executor,
+            executor=executor,
             max_pending=max_pending,
             retention_seconds=retention_seconds,
             max_terminal=max_terminal_jobs,

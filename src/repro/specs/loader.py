@@ -185,7 +185,6 @@ def _known_experiment(exp_id: Any, where: str) -> str:
 
 
 def _build_sweep(doc: Mapping[str, Any], where: str) -> SweepSpec:
-    from repro.core.experiments import get_experiment
     from repro.specs import library
     from repro.stats.metrics import METRICS
 
@@ -278,7 +277,7 @@ def _build_sweep(doc: Mapping[str, Any], where: str) -> SweepSpec:
     # Resolve every grid point against the real experiment config, so a
     # typo or an impossible value fails at load, not mid-sweep.
     try:
-        spec.grid(get_experiment(exp_id).config)
+        spec.grid()
     except (TypeError, ValueError) as exc:
         raise SpecError(f"{where}: {exc}") from exc
     return spec

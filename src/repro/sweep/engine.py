@@ -47,11 +47,9 @@ def run_sweep(
     progress: Optional[ProgressFn] = None,
 ) -> SweepResult:
     """Run one sweep end to end; see the module docstring for phases."""
-    from repro.core.experiments import get_experiment
-
     jobs = default_jobs() if jobs is None else max(1, jobs)
     spec = spec.with_axes(axes)
-    points = spec.grid(get_experiment(spec.exp_id).config)
+    points = spec.grid()
     by_key: Dict[str, List[SweepPoint]] = {}
     for point in points:
         point.cache_key = cache_key(point.config)

@@ -124,16 +124,18 @@ class SweepSpec:
 
     # -- grid expansion ----------------------------------------------------
 
-    def grid(self, base_config: Any) -> List[SweepPoint]:
+    def grid(self) -> List[SweepPoint]:
         """Expand the axes into ordered points (first axis outermost).
 
-        ``base_config`` is the experiment's default
-        :class:`~repro.runner.config.ExperimentConfig`. Every point is
-        resolved against it, so an unknown axis or an impossible value
-        raises :class:`ValueError` here, before any simulation. So does
-        a second axis on a spec with shape checks, which read one
-        series along one axis.
+        Every point is resolved against the experiment's registered
+        :class:`~repro.runner.config.ExperimentConfig`, so an unknown
+        axis or an impossible value raises :class:`ValueError` here,
+        before any simulation. So does a second axis on a spec with
+        shape checks, which read one series along one axis.
         """
+        from repro.core.experiments import get_experiment
+
+        base_config = get_experiment(self.exp_id).config
         fragments = [
             [(axis, value, axis_overrides(base_config, axis, value)) for value in values]
             for axis, values in self.axes

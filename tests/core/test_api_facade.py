@@ -38,8 +38,8 @@ def test_facade_sweep_accepts_spec_name(monkeypatch, tmp_path):
     from repro.core import experiments
     from repro.runner.cache import ResultCache
     from repro.runner.config import ExperimentConfig
-    from repro.sweep import SweepSpec
-    from repro.sweep import specs as sweep_specs
+    from repro.specs import library
+    from tests.sweep.test_cli_sweep import put_sweep_spec
 
     exp = experiments.ExperimentSpec(
         id="fake_facade", title="f", paper_tables="none", description="d",
@@ -48,12 +48,18 @@ def test_facade_sweep_accepts_spec_name(monkeypatch, tmp_path):
         shape=lambda r: [("ran", True, "ok")], paper={},
     )
     monkeypatch.setitem(experiments.EXPERIMENTS, "fake_facade", exp)
-    spec = SweepSpec(
-        name="facade-tiny", exp_id="fake_facade",
-        axes=(("procs", (1, 2)),), metrics=("value",),
-        extra_metrics={"value": lambda s: s["data"]["value"]},
+    monkeypatch.setitem(
+        library.EXTRA_METRICS, "facade-value", {"value": lambda s: s["data"]["value"]}
     )
-    monkeypatch.setitem(sweep_specs.SWEEP_SPECS, "facade-tiny", spec)
+    put_sweep_spec(monkeypatch, tmp_path, """\
+kind: sweep
+id: facade-tiny
+experiment: fake_facade
+axes:
+  - {axis: procs, values: [1, 2]}
+metrics: [value]
+extra_metrics: facade-value
+""")
 
     api.clear_memory_cache()
     result = api.sweep("facade-tiny", jobs=1, cache=ResultCache(tmp_path))

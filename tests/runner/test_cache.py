@@ -209,6 +209,16 @@ def test_corrupt_file_is_a_miss(tmp_path):
     assert cache.load(config) is None
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"', "3", "null"])
+def test_a_file_that_is_not_a_json_object_is_a_miss(tmp_path, text):
+    cache = ResultCache(tmp_path)
+    config = EXPERIMENTS["gauss"].config
+    path = cache.store(_record(cache_key(config)))
+    path.write_text(text)
+    assert cache.load(config) is None
+    assert cache.load_jsonable("gauss", cache_key(config)) is None
+
+
 def test_ls_and_clear(tmp_path):
     cache = ResultCache(tmp_path)
     assert cache.ls() == []

@@ -23,7 +23,7 @@ class TestQueueAdmission:
         gate = threading.Event()
         executor = CountingExecutor(gate=gate)
         queue = JobQueue(
-            workers=1, cache=cache, run_executor=executor, max_pending=1
+            workers=1, cache=cache, executor=executor, max_pending=1
         )
         queue.start()
         try:
@@ -56,7 +56,7 @@ class TestQueueAdmission:
         cache.store(make_record(config, payload="warm"))
         queue = JobQueue(
             workers=1, cache=cache,
-            run_executor=CountingExecutor(), max_pending=0,
+            executor=CountingExecutor(), max_pending=0,
         )
         queue.start()
         try:
@@ -76,7 +76,7 @@ class TestQueueAdmission:
         gate = threading.Event()
         executor = CountingExecutor(gate=gate)
         queue = JobQueue(
-            workers=1, cache=cache, run_executor=executor, max_pending=1
+            workers=1, cache=cache, executor=executor, max_pending=1
         )
         queue.start()
         try:
@@ -93,7 +93,7 @@ class TestQueueAdmission:
 
     def test_retry_after_scales_with_backlog(self, cache):
         queue = JobQueue(
-            workers=2, cache=cache, run_executor=CountingExecutor()
+            workers=2, cache=cache, executor=CountingExecutor()
         )
         assert 1.0 <= queue.retry_after_hint() <= 120.0
         queue._avg_seconds = 10.0
@@ -103,7 +103,7 @@ class TestQueueAdmission:
 class TestShutdownRefusal:
     def test_submissions_after_stop_get_queue_shutdown(self, cache):
         queue = JobQueue(
-            workers=1, cache=cache, run_executor=CountingExecutor()
+            workers=1, cache=cache, executor=CountingExecutor()
         )
         queue.start()
         queue.stop()
@@ -116,7 +116,7 @@ class TestShutdownRefusal:
         config = resolve_config("validation")
         cache.store(make_record(config, payload="warm"))
         queue = JobQueue(
-            workers=1, cache=cache, run_executor=CountingExecutor()
+            workers=1, cache=cache, executor=CountingExecutor()
         )
         queue.start()
         queue.stop()
@@ -139,7 +139,7 @@ class TestHttpAdmission:
             block=False,
             jobs=1,
             cache=ResultCache(tmp_path / "cache"),
-            run_executor=executor,
+            executor=executor,
             max_pending=0,
             quiet=True,
         )

@@ -10,7 +10,7 @@ from repro.core import experiments
 from repro.runner.api import resolve_config
 from repro.runner.cache import ResultCache, cache_key
 from repro.runner.record import RunRecord
-from repro.serve.jobqueue import DONE, FAILED, JobQueue
+from repro.serve.jobqueue import DONE, FAILED, JobQueue, run_job, spawned_executor
 from repro.serve.schemas import RunRequest, SchemaError, SweepRequest
 
 
@@ -29,8 +29,15 @@ def make_record(config, payload="x") -> RunRecord:
     )
 
 
+def answer(cache_dir, record):
+    """What a job's library call does with a record it simulated: store
+    it in the cache, and return it as the job's payload."""
+    ResultCache(cache_dir).store(record)
+    return record.to_jsonable(), True
+
+
 class CountingExecutor:
-    """A run executor that counts calls and can block on a gate."""
+    """An executor for run jobs that counts calls and can block on a gate."""
 
     def __init__(self, gate=None, fail=False):
         self.calls = 0
@@ -38,7 +45,7 @@ class CountingExecutor:
         self.gate = gate
         self.fail = fail
 
-    def __call__(self, request: RunRequest) -> RunRecord:
+    def __call__(self, request: RunRequest, cache_dir):
         with self.lock:
             self.calls += 1
         if self.gate is not None:
@@ -46,7 +53,7 @@ class CountingExecutor:
         if self.fail:
             raise RuntimeError("injected simulation failure")
         config = resolve_config(request.exp_id, request.overrides or None)
-        return make_record(config)
+        return answer(cache_dir, make_record(config))
 
 
 @pytest.fixture
@@ -56,26 +63,30 @@ def cache(tmp_path):
 
 def make_queue(cache, executor, workers=2, **kwargs):
     queue = JobQueue(
-        workers=workers, cache=cache, run_executor=executor, **kwargs
+        workers=workers, cache=cache, executor=executor, **kwargs
     )
     queue.start()
     return queue
 
 
+def fail_here(monkeypatch, exp_id):
+    """Make this process's runner for ``exp_id`` fail if called; a
+    spawned worker imports the real registry."""
+    spec = experiments.EXPERIMENTS[exp_id]
+
+    def here(config):
+        raise AssertionError("simulated in the serving process")
+
+    monkeypatch.setitem(
+        experiments.EXPERIMENTS, exp_id, dataclasses.replace(spec, runner=here)
+    )
+
+
 class TestDefaultRunExecutor:
     def test_cold_job_simulates_in_a_spawned_worker(self, cache, monkeypatch):
         """The HTTP threads share the queue's process, so a cold job
-        must not simulate there. This process's validation runner fails
-        if called; a spawned worker imports the real registry."""
-        spec = experiments.EXPERIMENTS["validation"]
-
-        def here(config):
-            raise AssertionError("simulated in the serving process")
-
-        monkeypatch.setitem(
-            experiments.EXPERIMENTS, "validation",
-            dataclasses.replace(spec, runner=here),
-        )
+        must not simulate there."""
+        fail_here(monkeypatch, "validation")
         queue = JobQueue(workers=1, cache=cache)
         queue.start()
         try:
@@ -85,6 +96,92 @@ class TestDefaultRunExecutor:
             assert job.simulated is True
         finally:
             queue.stop()
+
+
+def finished_sweep(cache, request):
+    """Run one sweep job through a default queue; its finished job."""
+    queue = JobQueue(workers=1, cache=cache)
+    queue.start()
+    try:
+        job = queue.submit_sweep(request)
+        assert job.wait(120)
+        return job
+    finally:
+        queue.stop()
+
+
+class TestDefaultSweepExecutor:
+    """A sweep job is a library call in a spawned worker, like a run,
+    even when its cold points fit one batch."""
+
+    def test_one_batch_sweep_simulates_in_a_spawned_worker(self, cache, monkeypatch):
+        fail_here(monkeypatch, "em3d")
+        job = finished_sweep(cache, SweepRequest(
+            spec="em3d-latency", axes={"net_latency": [0, 25]}, jobs=1
+        ))
+        assert job.state == DONE, job.error
+        assert job.simulated is True
+        assert job.result["meta"]["simulated"] == 2
+
+    def test_sweep_with_one_cold_point_simulates_in_a_spawned_worker(
+        self, cache, monkeypatch
+    ):
+        from repro import api
+
+        api.sweep("em3d-latency", axes={"net_latency": [0]}, jobs=1, cache=cache)
+        fail_here(monkeypatch, "em3d")
+        job = finished_sweep(cache, SweepRequest(
+            spec="em3d-latency", axes={"net_latency": [0, 25]}, jobs=2
+        ))
+        assert job.state == DONE, job.error
+        assert job.simulated is True
+        assert job.result["meta"]["simulated"] == 1
+        assert job.result["meta"]["cached"] == 1
+
+
+def without_elapsed(value):
+    """``value`` with every ``elapsed_seconds`` entry dropped."""
+    if isinstance(value, dict):
+        return {
+            key: without_elapsed(item)
+            for key, item in value.items() if key != "elapsed_seconds"
+        }
+    if isinstance(value, list):
+        return [without_elapsed(item) for item in value]
+    return value
+
+
+class TestExecutorContract:
+    def test_run_job_here_and_in_a_spawned_worker_agree(self, tmp_path):
+        """Calling ``run_job`` in this process and the default executor
+        give the same payload (apart from wall time) and the same
+        ``simulated`` flag, each on its own cache. The last sweep's two
+        cold points at ``jobs: 2`` make two batches, so the spawned
+        worker starts a pool of its own for them."""
+        requests = [
+            RunRequest(exp_id="validation"),
+            RunRequest(exp_id="validation"),
+            SweepRequest(spec="em3d-latency", axes={"net_latency": [0, 25]}, jobs=1),
+            SweepRequest(spec="em3d-latency", axes={"net_latency": [50, 100]}, jobs=2),
+        ]
+        here = [run_job(request, tmp_path / "here") for request in requests]
+        there = [spawned_executor(request, tmp_path / "there") for request in requests]
+        assert [simulated for _payload, simulated in here] == [True, False, True, True]
+        assert [simulated for _payload, simulated in there] == [True, False, True, True]
+        for (mine, _), (theirs, _) in zip(here, there):
+            assert without_elapsed(mine) == without_elapsed(theirs)
+        assert there[3][0]["meta"]["simulated"] == 2
+        # The run payload is the record the library call stored.
+        stored = ResultCache(tmp_path / "there").load(resolve_config("validation"))
+        assert stored.to_jsonable() == there[0][0]
+
+    def test_a_warm_sweep_is_not_simulated(self, tmp_path):
+        request = SweepRequest(spec="em3d-latency", axes={"net_latency": [0]}, jobs=1)
+        cold, simulated = run_job(request, tmp_path)
+        assert simulated is True and cold["meta"]["simulated"] == 1
+        warm, simulated = run_job(request, tmp_path)
+        assert simulated is False and warm["meta"]["simulated"] == 0
+        assert without_elapsed(warm["points"]) == without_elapsed(cold["points"])
 
 
 class TestCoalescing:
@@ -190,7 +287,7 @@ class TestWarmPath:
         monkeypatch.setattr(cache_module, "cache_key", counting_key)
         monkeypatch.setattr(LocalDirStore, "read", counting(LocalDirStore.read))
         monkeypatch.setattr(OpenBlob, "read", counting(OpenBlob.read))
-        queue = JobQueue(cache=cache, run_executor=CountingExecutor())
+        queue = JobQueue(cache=cache, executor=CountingExecutor())
         for _ in range(5):
             job = queue.submit_run(RunRequest(exp_id="validation"))
             assert job.state == DONE and job.simulated is False
@@ -202,9 +299,9 @@ class TestWarmPath:
         """A record replaced by a force re-run is never served from memory."""
         payloads = iter(["first", "forced"])
 
-        def executor(request):
+        def executor(request, cache_dir):
             config = resolve_config(request.exp_id, request.overrides or None)
-            return make_record(config, payload=next(payloads))
+            return answer(cache_dir, make_record(config, payload=next(payloads)))
 
         queue = make_queue(cache, executor)
         try:
@@ -299,7 +396,7 @@ class TestFailuresAndValidation:
             queue.stop()
 
     def test_refused_request_is_refused_every_time(self, cache):
-        queue = JobQueue(cache=cache, run_executor=CountingExecutor())
+        queue = JobQueue(cache=cache, executor=CountingExecutor())
         request = RunRequest(
             exp_id="alcp", overrides={"options": {"asynchronus": False}}
         )
@@ -312,12 +409,12 @@ class TestFailuresAndValidation:
         assert queue.registry.jobs() == []
 
     def test_unknown_experiment_rejected_at_submission(self, cache):
-        queue = JobQueue(cache=cache, run_executor=CountingExecutor())
+        queue = JobQueue(cache=cache, executor=CountingExecutor())
         with pytest.raises(SchemaError, match="unknown experiment"):
             queue.submit_run(RunRequest(exp_id="not-an-experiment"))
 
     def test_bad_override_rejected_with_suggestion(self, cache):
-        queue = JobQueue(cache=cache, run_executor=CountingExecutor())
+        queue = JobQueue(cache=cache, executor=CountingExecutor())
         with pytest.raises(SchemaError, match="did you mean"):
             queue.submit_run(
                 RunRequest(exp_id="validation", overrides={"sed": 3})
@@ -331,17 +428,13 @@ class TestFailuresAndValidation:
 
 class TestSweepJobs:
     def test_sweep_executor_wiring_and_simulated_flag(self, cache):
-        class FakeSweepResult:
-            def to_jsonable(self):
-                return {"points": [], "meta": {"simulated": 0, "cached": 3}}
-
         calls = []
 
-        def sweep_executor(request, the_cache):
-            calls.append((request, the_cache))
-            return FakeSweepResult()
+        def executor(request, cache_dir):
+            calls.append((request, cache_dir))
+            return {"points": [], "meta": {"simulated": 0, "cached": 3}}, False
 
-        queue = JobQueue(cache=cache, sweep_executor=sweep_executor)
+        queue = JobQueue(cache=cache, executor=executor)
         queue.start()
         try:
             job = queue.submit_sweep(
@@ -352,7 +445,7 @@ class TestSweepJobs:
             assert job.wait(10)
             assert job.state == DONE
             assert job.simulated is False  # all points came from the cache
-            assert calls and calls[0][1] is cache
+            assert calls and calls[0][1] == cache.directory
             assert calls[0][0].axes == {"net_latency": [0, 100]}
         finally:
             queue.stop()
@@ -361,14 +454,12 @@ class TestSweepJobs:
         gate = threading.Event()
         calls = []
 
-        def sweep_executor(request, the_cache):
+        def executor(request, cache_dir):
             calls.append(request)
             assert gate.wait(10)
-            return {"meta": {"simulated": 1}}
+            return {"meta": {"simulated": 1}}, True
 
-        queue = JobQueue(
-            workers=2, cache=cache, sweep_executor=sweep_executor
-        )
+        queue = JobQueue(workers=2, cache=cache, executor=executor)
         queue.start()
         try:
             request = SweepRequest(
@@ -388,11 +479,12 @@ class TestSweepJobs:
     def test_identical_finished_sweep_is_queued_again(self, cache):
         calls = []
 
-        def sweep_executor(request, the_cache):
+        def executor(request, cache_dir):
             calls.append(request)
-            return {"meta": {"simulated": 0 if len(calls) > 1 else 1}}
+            simulated = len(calls) == 1
+            return {"meta": {"simulated": int(simulated)}}, simulated
 
-        queue = JobQueue(cache=cache, sweep_executor=sweep_executor)
+        queue = JobQueue(cache=cache, executor=executor)
         queue.start()
         try:
             request = SweepRequest(
@@ -579,7 +671,7 @@ class TestRegistryRetention:
         the content-addressed store under the same ID."""
         executor = CountingExecutor()
         queue = JobQueue(
-            workers=1, cache=cache, run_executor=executor,
+            workers=1, cache=cache, executor=executor,
             retention_seconds=0.05, max_terminal=None,
         )
         queue.start()

@@ -1,9 +1,10 @@
 """End-to-end HTTP tests: real sockets, real validation experiment.
 
 The server under test binds an ephemeral port on localhost and runs
-with the in-process run executor (the spawn executor is exercised by
-the CI ``serve-smoke`` job against a real ``repro serve`` process, and
-by ``tools/serve_smoke.py`` locally).
+each job's library call in this process (``run_job`` as its executor;
+the default spawned executor is exercised by ``tests/serve/test_jobqueue.py``
+and by the CI ``serve-smoke`` job against a real ``repro serve`` process,
+through ``tools/serve_smoke.py``).
 """
 
 import json
@@ -15,7 +16,7 @@ import pytest
 
 from repro import api
 from repro.runner.cache import ResultCache
-from repro.serve.jobqueue import inprocess_run_executor
+from repro.serve.jobqueue import run_job
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +27,7 @@ def server(tmp_path_factory):
         block=False,
         jobs=1,
         cache=cache,
-        run_executor=inprocess_run_executor,
+        executor=run_job,
         quiet=True,
     )
     yield instance
@@ -170,6 +171,29 @@ class TestRunLifecycle:
         assert status == 200
         assert listing["jobs"], "jobs listing should not be empty"
         assert all("result" not in job for job in listing["jobs"])
+
+
+class TestCorruptRecord:
+    def test_a_record_file_that_is_not_an_object_is_simulated_again(self, server):
+        """A record file whose JSON is not an object is a miss: the
+        request is accepted (202) and simulated again, not a dropped
+        connection."""
+        body = {"experiment": "validation", "overrides": {"seed": 31}}
+        status, submitted = post(server, "/v1/runs", body)
+        first = poll(server, submitted["job_id"])
+        assert first["state"] == "done", first["error"]
+        [path] = [entry.path for entry in server.cache.index()
+                  if entry.cache_key == first["job_id"]]
+        path.write_text("[1, 2]")
+
+        status, again = post(server, "/v1/runs", body)
+        assert status == 202
+        done = poll(server, again["job_id"])
+        assert done["state"] == "done", done["error"]
+        assert done["simulated"] is True
+        assert done["result"]["summary"] == first["result"]["summary"]
+        status, warm = post(server, "/v1/runs", body)
+        assert status == 200 and warm["simulated"] is False
 
 
 class TestErrors:

@@ -8,8 +8,7 @@ from repro.cli import main
 from repro.core import experiments
 from repro.runner.api import clear_memory_cache
 from repro.runner.config import ExperimentConfig
-from repro.sweep import SweepSpec
-from repro.sweep import specs as sweep_specs
+from repro.specs import library
 
 
 @pytest.fixture(autouse=True)
@@ -19,8 +18,16 @@ def _fresh_memo():
     clear_memory_cache()
 
 
+def put_sweep_spec(monkeypatch, tmp_path, text):
+    """Put one YAML sweep spec on the search path ($REPRO_SPECS_DIR)."""
+    sweeps = tmp_path / "specs" / "sweeps"
+    sweeps.mkdir(parents=True)
+    (sweeps / "spec.yaml").write_text(text, encoding="utf-8")
+    monkeypatch.setenv("REPRO_SPECS_DIR", str(tmp_path / "specs"))
+
+
 @pytest.fixture
-def tiny_sweep(monkeypatch):
+def tiny_sweep(monkeypatch, tmp_path):
     """A shipped-looking spec over a fake experiment (jobs=1 only)."""
 
     def runner(config):
@@ -32,17 +39,22 @@ def tiny_sweep(monkeypatch):
         shape=lambda r: [("ran", True, "ok")], paper={},
     )
     monkeypatch.setitem(experiments.EXPERIMENTS, "fake_cli", exp)
-    spec = SweepSpec(
-        name="tiny", exp_id="fake_cli",
-        axes=(("procs", (1, 2, 3)),),
-        metrics=("value",),
-        extra_metrics={"value": lambda s: s["data"]["value"]},
-        checks=lambda result: [
-            ("grows", result.series("value")[1] == [10.0, 20.0, 30.0], "ok"),
-        ],
+    monkeypatch.setitem(
+        library.EXTRA_METRICS, "cli-value", {"value": lambda s: s["data"]["value"]}
     )
-    monkeypatch.setitem(sweep_specs.SWEEP_SPECS, "tiny", spec)
-    return spec
+    monkeypatch.setitem(library.CHECKS, "cli-grows", lambda result: [
+        ("grows", result.series("value")[1] == [10.0, 20.0, 30.0], "ok"),
+    ])
+    put_sweep_spec(monkeypatch, tmp_path, """\
+kind: sweep
+id: tiny
+experiment: fake_cli
+axes:
+  - {axis: procs, values: [1, 2, 3]}
+metrics: [value]
+extra_metrics: cli-value
+checks: cli-grows
+""")
 
 
 def test_sweep_unknown_spec_exits_2(capsys):
@@ -154,7 +166,7 @@ def test_sweep_impossible_axis_value_exits_2_before_any_point(capsys):
     assert "[1/" not in err
 
 
-def test_sweep_option_typo_exits_2_before_any_point(monkeypatch, capsys):
+def test_sweep_option_typo_exits_2_before_any_point(monkeypatch, tmp_path, capsys):
     """An ``options.*`` axis must name an option the experiment has."""
     exp = experiments.ExperimentSpec(
         id="fake_opt", title="f", paper_tables="none", description="d",
@@ -163,13 +175,18 @@ def test_sweep_option_typo_exits_2_before_any_point(monkeypatch, capsys):
         shape=lambda r: [("ran", True, "ok")], paper={},
     )
     monkeypatch.setitem(experiments.EXPERIMENTS, "fake_opt", exp)
-    spec = SweepSpec(
-        name="opt", exp_id="fake_opt",
-        axes=(("options.asynchronous", (False, True)),),
-        metrics=("value",),
-        extra_metrics={"value": lambda s: s["data"]["value"]},
+    monkeypatch.setitem(
+        library.EXTRA_METRICS, "opt-value", {"value": lambda s: s["data"]["value"]}
     )
-    monkeypatch.setitem(sweep_specs.SWEEP_SPECS, "opt", spec)
+    put_sweep_spec(monkeypatch, tmp_path, """\
+kind: sweep
+id: opt
+experiment: fake_opt
+axes:
+  - {axis: options.asynchronous, values: [false, true]}
+metrics: [value]
+extra_metrics: opt-value
+""")
     assert main(["sweep", "opt", "--jobs", "1",
                  "--axis", "options.asynchronus=0"]) == 2
     err = capsys.readouterr().err

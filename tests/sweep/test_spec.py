@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.core.experiments import EXPERIMENTS
 from repro.sweep.spec import SweepSpec
-
-EM3D = EXPERIMENTS["em3d"].config
 
 
 def _spec(**kwargs):
@@ -50,7 +47,7 @@ def test_grid_1d_order_and_overrides():
         axes=(("net_latency", (0, 50)),),
         base_overrides={"procs": 4},
     )
-    points = spec.grid(EM3D)
+    points = spec.grid()
     assert [p.coords for p in points] == [
         {"net_latency": 0},
         {"net_latency": 50},
@@ -63,7 +60,7 @@ def test_grid_1d_order_and_overrides():
 
 def test_grid_2d_row_major_first_axis_outermost():
     spec = _spec(axes=(("net_latency", (0, 50)), ("cache_kb", (4, 8))))
-    points = spec.grid(EM3D)
+    points = spec.grid()
     assert [p.coords for p in points] == [
         {"net_latency": 0, "cache_kb": 4},
         {"net_latency": 0, "cache_kb": 8},
@@ -84,20 +81,20 @@ def test_grid_refuses_a_second_axis_on_a_checked_spec():
         r"sweep 't' has checks, which need a one-axis sweep; "
         r"got axes \['net_latency', 'cache_kb'\]"
     )):
-        spec.with_axes({"cache_kb": (4, 8)}).grid(EM3D)
+        spec.with_axes({"cache_kb": (4, 8)}).grid()
     with pytest.raises(ValueError, match="did you mean"):
-        spec.with_axes({"cache_kbb": (4,)}).grid(EM3D)
+        spec.with_axes({"cache_kbb": (4,)}).grid()
 
 
 def test_grid_rejects_unknown_axis_before_any_simulation():
     spec = _spec(axes=(("network_latncy", (0,)),))
     with pytest.raises(ValueError, match="did you mean"):
-        spec.grid(EM3D)
+        spec.grid()
 
 
 def test_point_label():
     spec = _spec()
-    point = spec.grid(EM3D)[0]
+    point = spec.grid()[0]
     assert point.label() == "net_latency=0"
 
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.runner.cache import ResultCache
-from repro.sweep import SWEEP_SPECS, get_sweep, run_sweep
+from repro.specs import list_specs
+from repro.sweep import get_sweep, run_sweep
 
 
 def test_get_sweep_suggests_on_typo():
@@ -14,10 +15,11 @@ def test_get_sweep_suggests_on_typo():
 def test_shipped_specs_are_well_formed():
     from repro.core.experiments import EXPERIMENTS
 
-    for spec in SWEEP_SPECS.values():
+    for info in list_specs("sweep"):
+        spec = get_sweep(info.id)
         assert spec.exp_id in EXPERIMENTS
         # Grid expansion (axis validation) works against the real config.
-        points = spec.grid(EXPERIMENTS[spec.exp_id].config)
+        points = spec.grid()
         assert len(points) >= 3
         assert spec.checks is not None  # every shipped spec pins a claim
 

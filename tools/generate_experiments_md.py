@@ -143,7 +143,7 @@ def render_fidelity() -> str:
 def render_sensitivity() -> str:
     """The sweep-driven sensitivity section, marker-delimited."""
     from repro.api import sweep
-    from repro.sweep import SWEEP_SPECS
+    from repro.specs import list_specs
 
     lines = [
         SWEEP_BEGIN,
@@ -155,13 +155,14 @@ def render_sensitivity() -> str:
         "`python -m repro sweep <name>`; widen an axis with `--axis`.",
         "",
     ]
-    for name in sorted(SWEEP_SPECS):
+    specs = {info.id: info for info in list_specs("sweep")}
+    for name in sorted(specs):
         print(f"sweeping {name} ...", flush=True)
         result = sweep(name)
         lines += [
             f"### `{name}` — {result.exp_id}",
             "",
-            SWEEP_SPECS[name].description,
+            specs[name].description,
             "",
             "```",
             result.render_table(),

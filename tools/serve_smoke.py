@@ -31,7 +31,9 @@ the background; locally: ``python -m repro serve --port 8737 &``):
    record is never served from the server's memory;
 10. submit a sweep with an impossible axis value and a run with no
     processors, and require a ``400`` for each with no new job in
-    ``GET /v1/jobs`` — bad input is refused before anything is queued.
+    ``GET /v1/jobs`` — bad input is refused before anything is queued;
+11. force a two-point ``jobs: 1`` sweep, whose points fit one batch,
+    and require it to finish ``done`` with ``meta.simulated == 2``.
 
 Exit code 0 on success, 1 on any violated expectation (with a message
 on stderr). Stdlib only — usable from CI, cron, or a shell.
@@ -270,6 +272,30 @@ def check_refused_before_queueing(url: str) -> list:
     return failures
 
 
+#: A sweep whose two points fit one batch of one worker; forced, so
+#: both points simulate even on a warm cache.
+ONE_BATCH_SWEEP = {
+    "spec": "em3d-latency", "axes": {"net_latency": [0, 25]}, "jobs": 1,
+    "force": True,
+}
+
+
+def check_one_batch_sweep(url: str, timeout: float) -> list:
+    """A forced one-batch sweep finishes with both points simulated."""
+    status, job = post(url, "/v1/sweeps", ONE_BATCH_SWEEP)
+    if status != 202:
+        return [f"forced sweep: HTTP {status}, state={job['state']} "
+                "(expected 202)"]
+    job = poll_job(url, job["job_id"], timeout)
+    simulated = (job.get("result") or {}).get("meta", {}).get("simulated")
+    if job["state"] != "done" or simulated != 2:
+        return [f"forced sweep: state={job['state']}, "
+                f"meta.simulated={simulated} (expected done, 2); "
+                f"error={job['error']!r}"]
+    print("one-batch sweep: a forced jobs: 1 sweep simulated 2 points, done")
+    return []
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--url", default="http://127.0.0.1:8737",
@@ -328,6 +354,7 @@ def main(argv=None) -> int:
     failures.extend(check_cold_after_cache_clear(url, body, args.job_timeout))
     failures.extend(check_warm_after_force(url, body, args.job_timeout))
     failures.extend(check_refused_before_queueing(url))
+    failures.extend(check_one_batch_sweep(url, args.job_timeout))
 
     status, health = get(url, "/healthz")
     if health["queue"]["jobs"]["failed"]:
