@@ -30,3 +30,14 @@ class Em3dConfig:
         seed: int = 1994,
     ) -> "Em3dConfig":
         return cls(nodes_per_proc, degree, remote_frac, iterations, seed)
+
+    def check(self, nprocs: int) -> None:
+        """Raise ``ValueError`` unless this graph builds on ``nprocs``
+        processors (the run-time check; configs are checked by it too)."""
+        if not 0.0 <= self.remote_frac <= 1.0:
+            raise ValueError("remote_frac must be in [0, 1]")
+        if nprocs == 1 and self.remote_frac > 0.0:
+            raise ValueError(
+                f"remote edges require at least two processors: "
+                f"remote_frac={self.remote_frac}, 1 processor"
+            )

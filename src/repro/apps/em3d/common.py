@@ -82,10 +82,7 @@ class Em3dGraph:
 
 def build_graph(config: Em3dConfig, nprocs: int) -> Em3dGraph:
     """Randomly generate the bipartite graph (deterministic in the seed)."""
-    if not 0.0 <= config.remote_frac <= 1.0:
-        raise ValueError("remote_frac must be in [0, 1]")
-    if nprocs == 1 and config.remote_frac > 0.0:
-        raise ValueError("remote edges require at least two processors")
+    config.check(nprocs)
     rng = RngStreams(config.seed).stream("em3d.graph")
     n = config.nodes_per_proc
     out_edges: Dict[int, List[List[Tuple[int, int, int, float]]]] = {E: [], H: []}

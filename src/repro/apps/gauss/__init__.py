@@ -20,3 +20,11 @@ class GaussConfig:
     def small(cls, n: int = 32, seed: int = 1994) -> "GaussConfig":
         """A scaled-down configuration for tests."""
         return cls(n=n, seed=seed)
+
+    def check(self, nprocs: int) -> None:
+        """Raise ``ValueError`` unless this system runs on ``nprocs``
+        processors (the run-time check; configs are checked by it too)."""
+        if self.n < nprocs:
+            raise ValueError(
+                f"need at least one row per processor: n={self.n}, {nprocs} processors"
+            )

@@ -154,8 +154,7 @@ def run_gauss_mp(
     machine: MpMachine, config: GaussConfig
 ) -> Tuple[MpRunResult, np.ndarray]:
     """Run Gauss-MP; returns the machine result and the solution vector."""
-    if config.n < machine.nprocs:
-        raise ValueError("need at least one row per processor")
+    config.check(machine.nprocs)
     a_full, b_full, _x_true = generate_system(config)
     result = machine.run(gauss_mp_program, config, a_full, b_full)
     return result, result.outputs[0]

@@ -172,8 +172,7 @@ def run_gauss_sm(
     machine: SmMachine, config: GaussConfig
 ) -> Tuple[SmRunResult, np.ndarray]:
     """Run Gauss-SM; returns the machine result and the solution vector."""
-    if config.n < machine.nprocs:
-        raise ValueError("need at least one row per processor")
+    config.check(machine.nprocs)
     a_full, b_full, _x_true = generate_system(config)
     shared: Dict = {}
     result = machine.run(gauss_sm_program, config, a_full, b_full, shared)

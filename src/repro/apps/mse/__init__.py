@@ -39,3 +39,12 @@ class MseConfig:
     @property
     def total_elements(self) -> int:
         return self.bodies * self.elements_per_body
+
+    def check(self, nprocs: int) -> None:
+        """Raise ``ValueError`` unless this problem runs on ``nprocs``
+        processors (the run-time check; configs are checked by it too)."""
+        if self.bodies < nprocs:
+            raise ValueError(
+                f"need at least one body per processor: bodies={self.bodies}, "
+                f"{nprocs} processors"
+            )

@@ -127,8 +127,7 @@ def run_mse_mp(
     machine: MpMachine, config: MseConfig
 ) -> Tuple[MpRunResult, np.ndarray]:
     """Run MSE-MP; returns (result, solution from processor 0)."""
-    if config.bodies < machine.nprocs:
-        raise ValueError("need at least one body per processor")
+    config.check(machine.nprocs)
     problem = generate_problem(config)
     result = machine.run(mse_mp_program, config, problem)
     return result, result.outputs[0]

@@ -110,8 +110,7 @@ def run_mse_sm(
     machine: SmMachine, config: MseConfig
 ) -> Tuple[SmRunResult, np.ndarray]:
     """Run MSE-SM; returns (result, solution from processor 0)."""
-    if config.bodies < machine.nprocs:
-        raise ValueError("need at least one body per processor")
+    config.check(machine.nprocs)
     problem = generate_problem(config)
     shared: Dict = {}
     result = machine.run(mse_sm_program, config, problem, shared)

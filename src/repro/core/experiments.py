@@ -4,16 +4,17 @@ Each :class:`ExperimentSpec` names the paper tables it regenerates,
 carries the paper's reported values (for EXPERIMENTS.md and the shape
 checks), a default :class:`~repro.runner.config.ExperimentConfig`, and
 a runner. Runners are **top-level functions of an explicit config** —
-picklable and parameterizable — so the :mod:`repro.runner` harness can
-execute them in worker processes, sweep them with overrides, and cache
-their results content-addressed on disk.
+parameterizable, and declaring the machine simulations (:class:`Side`)
+they read — so the :mod:`repro.runner` harness can simulate each
+distinct side once, in worker processes, sweep runners with overrides,
+and cache their results content-addressed on disk.
 
 The stable programmatic surface is :mod:`repro.api`
 (``run_raw``/``record_for``/``execute``/``sweep``);
 ``python -m repro run`` goes through the full harness.
 
-Loading the registry loads no simulator: each runner imports its app
-programs and machines when it first runs, so listing experiments,
+Loading the registry loads no simulator: each side imports its app
+program and machine when it first runs, so listing experiments,
 resolving configs and serving cached records never load numpy.
 
 Scale: the paper's runs are hundreds of millions to billions of target
@@ -26,7 +27,12 @@ scaled with the working sets so that capacity effects (EM3D Tables
 
 from __future__ import annotations
 
+import functools
 import gc
+import hashlib
+import importlib
+import json
+import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
@@ -35,7 +41,7 @@ from repro.apps.gauss import GaussConfig
 from repro.apps.lcp import LcpConfig
 from repro.apps.mse import MseConfig
 from repro.core.study import PairResult
-from repro.runner.config import ExperimentConfig, unknown
+from repro.runner.config import ExperimentConfig, jsonable, unknown
 
 if TYPE_CHECKING:  # annotations only: the registry loads no simulator
     from repro.mp.machine import MpMachine
@@ -60,14 +66,17 @@ class ExperimentSpec:
     notes: str = ""
     #: Baselines this experiment's shape checks compare against
     #: (through :func:`repro.runner.api.baseline`, on this run's
-    #: backend, memory model and preset); the executor co-locates them
-    #: in one worker so the in-process memo serves the comparison.
+    #: backend, memory model and preset); the runner simulates their
+    #: sides with this experiment's, so the memo serves the comparison.
     after: Tuple[str, ...] = ()
     #: Check names that pin claims specific to the paper's 1994 machine
     #: (latency/overhead ratios that legitimately flip under the modern
     #: presets). Waived — recorded as passing with a "waived" detail —
     #: when the run's ``preset`` is not ``"paper"``.
     paper_only: Tuple[str, ...] = ()
+    #: The fewest processors the experiment runs on; a config below it
+    #: is refused where it is resolved (:func:`check_runnable`).
+    min_procs: int = 1
 
 
 def get_experiment(exp_id: str) -> ExperimentSpec:
@@ -169,17 +178,172 @@ VALIDATION_CONFIG = ExperimentConfig(exp_id="validation", procs=2, seed=_SEED)
 
 
 # ---------------------------------------------------------------------------
-# Runners: top-level functions of an explicit config.
+# Sides and runners.
 #
-# A runner keeps no machine. Each run's result is reduced to its board,
-# elapsed cycles and event count (_machine_free), and each machine is
-# built by _mp_machine/_sm_machine, which first reclaim every earlier
-# one: machines are reference cycles (engine, processes, generator
-# frames, contexts) that only the cycle collector frees. So a worker
-# holds one machine at a time, and a baseline the memo keeps for later
-# checks costs only its boards. The validation microbenchmarks are
-# exempt: their three machines have two processors each.
+# A side is one machine simulation, the unit the runner simulates,
+# memoizes and ships to a worker. A registered runner declares its sides
+# and assembles its raw result from their runs, so two experiments that
+# run the same simulation (em3d's MP side and em3d_localalloc's) share
+# one run in an invocation. A runner that declares none (validation, a
+# test's fake) is one side: the whole runner on the whole config.
+#
+# A side keeps no machine. Its run is reduced to the board, elapsed
+# cycles and event count (_machine_free), plus the extras read from the
+# machine before it goes, and each machine is built by
+# _mp_machine/_sm_machine, which first reclaim every earlier one:
+# machines are reference cycles (engine, processes, generator frames,
+# contexts) that only the cycle collector frees. So a worker holds one
+# machine at a time, and a side the memo keeps costs only its board. The
+# validation microbenchmarks are exempt: their three machines have two
+# processors each.
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Side:
+    """One machine simulation of an experiment.
+
+    ``app`` names the app package and ``kind`` the machine, ``"mp"`` or
+    ``"sm"``; a ``"run"`` side is a whole runner, and ``app`` is then
+    its experiment id. The side runs ``config``'s workload on
+    ``config``'s machine, on ``procs`` processors if given. ``machine``
+    holds the machine's keywords (``collective_strategy``,
+    ``allocation_policy``) and ``program`` the app entry point's
+    (``variant``, ``asynchronous``), with their defaults written out.
+    """
+
+    app: str
+    kind: str
+    config: ExperimentConfig
+    procs: Optional[int] = None
+    machine: Tuple[Tuple[str, Any], ...] = ()
+    program: Tuple[Tuple[str, Any], ...] = ()
+
+    def key(self) -> str:
+        """A digest of everything the simulation reads: the machine
+        params, the workload, seed, backend, memory model (SM only: the
+        MP machine has none) and both keyword sets. A ``"run"`` side
+        reads its whole config."""
+        config = self.config
+        if self.kind == "run":
+            read: Dict[str, Any] = {"run": self.app, "config": config.to_jsonable()}
+        else:
+            read = {
+                "app": self.app,
+                "kind": self.kind,
+                "params": jsonable(config.machine_params(self.procs)),
+                "workload": jsonable(config.app),
+                "seed": config.seed,
+                "backend": config.backend,
+                "consistency": config.consistency if self.kind == "sm" else None,
+                "machine": jsonable(dict(self.machine)),
+                "program": jsonable(dict(self.program)),
+            }
+        return hashlib.sha256(json.dumps(read, sort_keys=True).encode()).hexdigest()
+
+    def check(self) -> None:
+        """Raise :class:`ValueError` where the app would refuse this run
+        (an app config without ``check`` refuses nothing)."""
+        check = getattr(self.config.app, "check", None)
+        if self.kind != "run" and check is not None:
+            check(self.procs or self.config.procs)
+
+
+@dataclass
+class SideRun:
+    """What one side's simulation leaves: its machine-free result, the
+    extras read from its machine, and its wall time. Several records
+    may read one run, so nothing mutates it."""
+
+    result: Any
+    extra: Dict[str, Any]
+    seconds: float
+
+
+def declares(sides: Callable[[ExperimentConfig], Dict[Any, Side]]):
+    """Make ``assemble(config, runs)`` a runner that declares ``sides``.
+
+    The runner keeps the assembler's name, so it stays a top-level
+    function. Called on a config, it simulates every side in this
+    process, unshared (as ``repro trace`` does); the harness reads its
+    ``sides`` and ``assemble`` to share and ship the sides instead.
+    """
+
+    def decorate(assemble: Callable[[ExperimentConfig, Dict[Any, SideRun]], Any]):
+        @functools.wraps(assemble)
+        def runner(config: ExperimentConfig) -> Any:
+            return assemble(
+                config, {name: run_side(side) for name, side in sides(config).items()}
+            )
+
+        runner.sides, runner.assemble = sides, assemble  # type: ignore[attr-defined]
+        return runner
+
+    return decorate
+
+
+def sides_of(spec: "ExperimentSpec", config: ExperimentConfig) -> Dict[Any, Side]:
+    """The sides ``spec``'s run of ``config`` simulates, by name."""
+    declared = getattr(spec.runner, "sides", None)
+    if declared is None:
+        return {"run": Side(spec.id, "run", config)}
+    return declared(config)
+
+
+def assemble(spec: "ExperimentSpec", config: ExperimentConfig,
+             runs: Dict[Any, SideRun]) -> Any:
+    """``spec``'s raw result from the runs of its sides."""
+    if getattr(spec.runner, "sides", None) is None:
+        return runs["run"].result
+    return spec.runner.assemble(config, runs)  # type: ignore[attr-defined]
+
+
+def check_runnable(spec: "ExperimentSpec", config: ExperimentConfig) -> None:
+    """Raise :class:`ValueError` for a config whose run the experiment
+    or an app would refuse, on the condition it would refuse it by."""
+    if config.procs < spec.min_procs:
+        raise ValueError(
+            f"{spec.id} needs at least {spec.min_procs} processors, got {config.procs}"
+        )
+    for side in sides_of(spec, config).values():
+        side.check()
+
+
+def run_side(side: Side) -> SideRun:
+    """Simulate one side in this process.
+
+    Must stay a top-level function: it is pickled by name when shipped
+    to a spawned worker.
+    """
+    start = time.perf_counter()
+    if side.kind == "run":
+        result, extra = get_experiment(side.app).runner(side.config), {}
+    else:
+        result, extra = _simulate(side)
+    return SideRun(result, extra, time.perf_counter() - start)
+
+
+def _simulate(side: Side) -> Tuple[Any, Dict[str, Any]]:
+    """Run one declared side on a fresh machine."""
+    program = getattr(
+        importlib.import_module(f"repro.apps.{side.app}.{side.kind}"),
+        f"run_{side.app}_{side.kind}",
+    )
+    kwargs = dict(side.machine)
+    if side.kind == "mp":
+        machine = _mp_machine(side.config, **kwargs)
+    else:
+        from repro.memory.dataspace import HomePolicy
+
+        kwargs["allocation_policy"] = HomePolicy(kwargs["allocation_policy"])
+        machine = _sm_machine(side.config, procs=side.procs, **kwargs)
+    run = program(machine, side.config.app, **dict(side.program))
+    extra: Dict[str, Any] = {}
+    if side.kind == "sm":
+        extra["directory_queue_delay"] = machine.directory_contention()
+    if side.app == "lcp":
+        extra["steps"] = run[2]
+    return _machine_free(run), extra
 
 
 def _mp_machine(config: ExperimentConfig, **kwargs: Any) -> MpMachine:
@@ -214,44 +378,69 @@ def _machine_free(run: Tuple[Any, ...]) -> Any:
     return replace(run[0], machine=None, outputs=[])
 
 
-def run_mse_pair(config: ExperimentConfig) -> PairResult:
-    from repro.apps.mse.mp import run_mse_mp
-    from repro.apps.mse.sm import run_mse_sm
+def _mp_side(app: str, config: ExperimentConfig, strategy: str = "lopsided",
+             **program: Any) -> Side:
+    return Side(app, "mp", config, machine=(("collective_strategy", strategy),),
+                program=tuple(sorted(program.items())))
 
-    mp_result = _machine_free(run_mse_mp(_mp_machine(config), config.app))
-    sm_result = _machine_free(run_mse_sm(_sm_machine(config), config.app))
+
+def _sm_side(app: str, config: ExperimentConfig, procs: Optional[int] = None,
+             policy: str = "round_robin", **program: Any) -> Side:
+    return Side(app, "sm", config, procs=procs,
+                machine=(("allocation_policy", policy),),
+                program=tuple(sorted(program.items())))
+
+
+def _pair_sides(app: str) -> Callable[[ExperimentConfig], Dict[Any, Side]]:
+    """An app pair's two sides at the registered machine defaults."""
+    return lambda config: {"mp": _mp_side(app, config), "sm": _sm_side(app, config)}
+
+
+def _pair(name: str, runs: Dict[Any, SideRun], **extra: Any) -> PairResult:
     return PairResult(
-        name="MSE", mp_result=mp_result, sm_result=sm_result,
-        phases=["init", "main"],
-    )
-
-
-def run_gauss_pair(config: ExperimentConfig) -> PairResult:
-    from repro.apps.gauss.mp import run_gauss_mp
-    from repro.apps.gauss.sm import run_gauss_sm
-
-    mp_result = _machine_free(run_gauss_mp(_mp_machine(config), config.app))
-    sm_run = run_gauss_sm(_sm_machine(config), config.app)
-    extra = {"directory_queue_delay": sm_run[0].machine.directory_contention()}
-    return PairResult(
-        name="Gauss", mp_result=mp_result, sm_result=_machine_free(sm_run),
+        name=name, mp_result=runs["mp"].result, sm_result=runs["sm"].result,
         phases=["init", "main"], extra=extra,
     )
 
 
-def run_gauss_collectives(config: ExperimentConfig) -> Dict[str, float]:
-    """The text's strategy study: flat vs binary vs lop-sided trees."""
-    from repro.apps.gauss.mp import run_gauss_mp
+@declares(_pair_sides("mse"))
+def run_mse_pair(config: ExperimentConfig, runs: Dict[Any, SideRun]) -> PairResult:
+    return _pair("MSE", runs)
 
+
+@declares(_pair_sides("gauss"))
+def run_gauss_pair(config: ExperimentConfig, runs: Dict[Any, SideRun]) -> PairResult:
+    return _pair(
+        "Gauss", runs, directory_queue_delay=runs["sm"].extra["directory_queue_delay"]
+    )
+
+
+def _collectives_sides(config: ExperimentConfig) -> Dict[Any, Side]:
     return {
-        strategy: run_gauss_mp(
-            _mp_machine(config, collective_strategy=strategy), config.app
-        )[0].board.mean_total()
+        strategy: _mp_side("gauss", config, strategy)
         for strategy in config.opt("strategies", ("flat", "binary", "lopsided"))
     }
 
 
-def run_gauss_contention(config: ExperimentConfig) -> Dict[int, Dict[str, float]]:
+@declares(_collectives_sides)
+def run_gauss_collectives(
+    config: ExperimentConfig, runs: Dict[Any, SideRun]
+) -> Dict[str, float]:
+    """The text's strategy study: flat vs binary vs lop-sided trees."""
+    return {strategy: run.result.board.mean_total() for strategy, run in runs.items()}
+
+
+def _contention_sides(config: ExperimentConfig) -> Dict[Any, Side]:
+    return {
+        nprocs: _sm_side("gauss", config, procs=nprocs)
+        for nprocs in config.opt("proc_counts", (4, 8, 16))
+    }
+
+
+@declares(_contention_sides)
+def run_gauss_contention(
+    config: ExperimentConfig, runs: Dict[Any, SideRun]
+) -> Dict[int, Dict[str, float]]:
     """Section 5.2's scalability remark, measured.
 
     "These delays [directory queuing] ... will become untenable for
@@ -259,80 +448,70 @@ def run_gauss_contention(config: ExperimentConfig) -> Dict[int, Dict[str, float]
     problem size) and record the mean directory queue delay and the
     average cost of a shared miss.
     """
-    return {
-        nprocs: _contention_point(config, nprocs)
-        for nprocs in config.opt("proc_counts", (4, 8, 16))
-    }
+    return {nprocs: _contention_point(run) for nprocs, run in runs.items()}
 
 
-def _contention_point(config: ExperimentConfig, nprocs: int) -> Dict[str, float]:
-    """One Gauss-SM run of the contention study on ``nprocs`` processors."""
-    from repro.apps.gauss.sm import run_gauss_sm
+def _contention_point(run: SideRun) -> Dict[str, float]:
+    """One Gauss-SM run of the contention study."""
     from repro.stats.categories import SmCat
 
-    run, _x = run_gauss_sm(_sm_machine(config, procs=nprocs), config.app)
-    board = run.board
+    board = run.result.board
     misses = board.mean_count("shared_misses_remote") + board.mean_count(
         "shared_misses_local"
     )
     return {
-        "queue_delay": run.machine.directory_contention(),
+        "queue_delay": run.extra["directory_queue_delay"],
         "miss_cost": board.mean_cycles(SmCat.SHARED_MISS) / max(misses, 1),
         "total": board.mean_total(),
     }
 
 
-def run_em3d_pair(config: ExperimentConfig) -> PairResult:
-    from repro.apps.em3d.mp import run_em3d_mp
-    from repro.apps.em3d.sm import run_em3d_sm
-    from repro.memory.dataspace import HomePolicy
-
-    policy = HomePolicy(config.opt("policy", HomePolicy.ROUND_ROBIN.value))
-    mp_result = _machine_free(run_em3d_mp(_mp_machine(config), config.app))
-    sm_result = _machine_free(
-        run_em3d_sm(_sm_machine(config, allocation_policy=policy), config.app)
-    )
-    return PairResult(
-        name="EM3D", mp_result=mp_result, sm_result=sm_result,
-        phases=["init", "main"],
-    )
+def _em3d_sides(config: ExperimentConfig) -> Dict[Any, Side]:
+    policy = config.opt("policy", "round_robin")
+    return {
+        "mp": _mp_side("em3d", config),
+        "sm": _sm_side("em3d", config, policy=policy, variant="base"),
+    }
 
 
-def run_em3d_protocols(config: ExperimentConfig) -> Dict[str, Any]:
+@declares(_em3d_sides)
+def run_em3d_pair(config: ExperimentConfig, runs: Dict[Any, SideRun]) -> PairResult:
+    return _pair("EM3D", runs)
+
+
+def _protocols_sides(config: ExperimentConfig) -> Dict[Any, Side]:
+    sides = {"mp": _mp_side("em3d", config)}
+    for variant in config.opt("variants", ("base", "flush", "update")):
+        sides[variant] = _sm_side("em3d", config, variant=variant)
+    return sides
+
+
+@declares(_protocols_sides)
+def run_em3d_protocols(
+    config: ExperimentConfig, runs: Dict[Any, SideRun]
+) -> Dict[str, Any]:
     """Section 5.3.4's suggested fixes, implemented and measured.
 
     Runs EM3D-SM under the base invalidation protocol, with consumer
     flushes, and with the bulk-update protocol, against the EM3D-MP
-    baseline.
+    baseline (the base protocol's SM side is em3d's).
     """
-    from repro.apps.em3d.mp import run_em3d_mp
-    from repro.apps.em3d.sm import run_em3d_sm
-
-    results: Dict[str, Any] = {
-        "mp": _machine_free(run_em3d_mp(_mp_machine(config), config.app))
-    }
-    for variant in config.opt("variants", ("base", "flush", "update")):
-        results[variant] = _machine_free(
-            run_em3d_sm(_sm_machine(config), config.app, variant=variant)
-        )
-    return results
+    return {name: run.result for name, run in runs.items()}
 
 
-def run_lcp_pair(config: ExperimentConfig) -> PairResult:
-    from repro.apps.lcp.mp import run_lcp_mp
-    from repro.apps.lcp.sm import run_lcp_sm
-
+def _lcp_sides(config: ExperimentConfig) -> Dict[Any, Side]:
     asynchronous = bool(config.opt("asynchronous", False))
-    mp_run = run_lcp_mp(_mp_machine(config), config.app, asynchronous=asynchronous)
-    mp_result, mp_steps = _machine_free(mp_run), mp_run[2]
-    del mp_run  # the MP machine's last reference: _sm_machine reclaims it
-    sm_run = run_lcp_sm(_sm_machine(config), config.app, asynchronous=asynchronous)
-    return PairResult(
-        name="ALCP" if asynchronous else "LCP",
-        mp_result=mp_result,
-        sm_result=_machine_free(sm_run),
-        phases=["init", "main"],
-        extra={"mp_steps": mp_steps, "sm_steps": sm_run[2]},
+    return {
+        "mp": _mp_side("lcp", config, asynchronous=asynchronous),
+        "sm": _sm_side("lcp", config, asynchronous=asynchronous),
+    }
+
+
+@declares(_lcp_sides)
+def run_lcp_pair(config: ExperimentConfig, runs: Dict[Any, SideRun]) -> PairResult:
+    return _pair(
+        "ALCP" if config.opt("asynchronous", False) else "LCP", runs,
+        mp_steps=runs["mp"].extra["steps"], sm_steps=runs["sm"].extra["steps"],
     )
 
 
@@ -823,6 +1002,7 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
             config=VALIDATION_CONFIG,
             shape=_validation_shape,
             paper={"tolerance": 0.27},
+            min_procs=2,  # processor 0 pings 1, and 1 misses on 0's data
         ),
     ]
 }

@@ -2,22 +2,23 @@
 
 * :func:`run_raw` — run one experiment in this process and return the
   *raw* result object (a :class:`~repro.core.study.PairResult` or
-  result dict), memoized per configuration until the
+  result dict), assembled from its sides' runs
+  (:class:`~repro.core.experiments.Side`), each memoized until the
   :func:`memo_scope` that ran it (if any) exits, or
   :func:`clear_memory_cache` drops it. This is what the benchmarks
   use; shape checks that compare against a baseline run reach it
   through :func:`baseline`.
 * :func:`record_for` — one experiment as a serializable
   :class:`~repro.runner.record.RunRecord`, served from the on-disk
-  cache when possible (zero simulation on a warm cache). Raw results
-  it simulates are released when its :func:`memo_scope` exits.
+  cache when possible (zero simulation on a warm cache). Sides it
+  simulates are released when its :func:`memo_scope` exits.
 * :func:`execute` — the fan-out driver behind ``python -m repro run``:
-  cache lookups, dependency-aware grouping, multiprocessing, progress
-  reporting, and cache write-back.
+  cache lookups, each distinct side simulated once over the workers,
+  progress reporting, and cache write-back.
 
 Both, and the sweep engine, go through :func:`run_cached`: the one
-loop that serves cache hits, runs each distinct miss once and stores
-each record as it arrives.
+loop that serves cache hits, simulates each distinct side of the
+misses once and stores each record as soon as its sides are in.
 """
 
 from __future__ import annotations
@@ -27,17 +28,18 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import (
-    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set,
+    Any, Callable, Dict, Iterator, Mapping, Optional, Sequence, Set, Tuple,
 )
 
 from repro.runner.cache import ResultCache, cache_key
 from repro.runner.config import ExperimentConfig
-from repro.runner.executor import WorkItem, default_jobs, plan_groups, run_parallel
-from repro.runner.record import SHAPE_CONFIG, RunRecord
+from repro.runner.executor import WorkItem, default_jobs, run_sides
+from repro.runner.record import SHAPE_CONFIG, RunRecord, build_record
 
-#: In-process memo of raw results, keyed by the content address. Raw
-#: results are simulator objects (a registered runner's hold boards, not
-#: machines); the disk cache stores the serializable records instead.
+#: In-process memo of side runs (:class:`~repro.core.experiments.SideRun`),
+#: keyed by :meth:`~repro.core.experiments.Side.key`. A side run holds a
+#: board, not a machine; the disk cache stores the serializable records
+#: instead.
 _MEMO: Dict[str, Any] = {}
 
 #: The memo keys owned by the outermost :func:`memo_scope` open in this
@@ -50,33 +52,53 @@ _MISSING = object()
 def resolve_config(
     exp_id: str, overrides: Optional[Mapping[str, Any]] = None
 ) -> ExperimentConfig:
-    """An experiment's default config, with sweep overrides applied."""
-    from repro.core.experiments import get_experiment
+    """An experiment's default config, with sweep overrides applied.
 
-    config = get_experiment(exp_id).config
+    A config the experiment or one of its apps would refuse to run
+    raises :class:`ValueError` here, on the condition the run checks.
+    """
+    from repro.core.experiments import check_runnable, get_experiment
+
+    spec = get_experiment(exp_id)
+    config = spec.config
     if overrides:
         config = config.with_overrides(overrides)
+    check_runnable(spec, config)
     return config
 
 
 def run_raw(exp_id: str, overrides: Optional[Mapping[str, Any]] = None) -> Any:
-    """Run one experiment in-process; memoized per configuration."""
-    from repro.core.experiments import get_experiment
+    """Run one experiment in-process; each of its sides memoized."""
+    return _assemble(exp_id, resolve_config(exp_id, overrides))[0]
+
+
+def _assemble(exp_id: str, config: ExperimentConfig) -> Tuple[Any, float]:
+    """``exp_id``'s raw result for ``config``, and the seconds its
+    sides' simulations took; a side not in the memo is simulated here."""
+    from repro.core.experiments import assemble, get_experiment, run_side, sides_of
 
     spec = get_experiment(exp_id)
-    config = resolve_config(exp_id, overrides)
-    key = cache_key(config)
-    result = _MEMO.get(key, _MISSING)
-    if result is _MISSING:
-        result = _MEMO[key] = spec.runner(config)
-        owned = _SCOPE.get()
-        if owned is not None:
-            owned.add(key)
-    return result
+    runs = {}
+    for name, side in sides_of(spec, config).items():
+        key = side.key()
+        run = _MEMO.get(key, _MISSING)
+        if run is _MISSING:
+            run = _remember(key, run_side(side))
+        runs[name] = run
+    return assemble(spec, config, runs), sum(run.seconds for run in runs.values())
+
+
+def _remember(key: str, run: Any) -> Any:
+    """Memoize a side's run, owned by this thread's :func:`memo_scope`."""
+    _MEMO[key] = run
+    owned = _SCOPE.get()
+    if owned is not None:
+        owned.add(key)
+    return run
 
 
 def clear_memory_cache() -> None:
-    """Drop the in-process raw-result memo (tests use this)."""
+    """Drop the in-process side memo (tests use this)."""
     _MEMO.clear()
 
 
@@ -103,13 +125,13 @@ def baseline(exp_id: str) -> Any:
 
 
 def memo_keys() -> Set[str]:
-    """The raw results the memo holds now."""
+    """The keys of the side runs the memo holds now."""
     return set(_MEMO)
 
 
 @contextmanager
 def memo_scope() -> Iterator[None]:
-    """Own what :func:`run_raw` memoizes in this thread until the block exits.
+    """Own the side runs memoized in this thread until the block exits.
 
     The outermost scope in a thread owns every entry memoized inside it;
     a nested scope joins it. When the outermost scope exits, it drops
@@ -137,7 +159,6 @@ def memo_scope() -> Iterator[None]:
 
 def run_cached(
     items: Sequence[WorkItem],
-    plan: Callable[[List[WorkItem]], List[List[WorkItem]]],
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     use_cache: bool = True,
@@ -147,23 +168,24 @@ def run_cached(
     """The one cache-first loop behind :func:`execute`, :func:`record_for`
     and :func:`~repro.sweep.engine.run_sweep`.
 
-    Serves each item from the disk cache when it can, queues each
-    distinct miss once, runs the ``plan`` of the misses over up to
-    ``jobs`` workers, and stores every record as it arrives, so an
-    interrupted run keeps its finished work and a rerun of the same
-    call simulates only what is missing. ``progress(record, simulated)``
-    is called once per distinct record. Returns records keyed by cache
-    key. Before the first miss runs, an unusable cache directory raises
+    Serves each item from the disk cache when it can and queues each
+    distinct miss once. It simulates each distinct side the misses read
+    (their own, and their checks' baselines) once, over up to ``jobs``
+    workers, and builds, checks and stores each record as soon as its
+    sides are in, so an interrupted run keeps its finished records and
+    a rerun of the same call simulates only what is missing.
+    ``progress(record, simulated)`` is called once per distinct record.
+    Returns records keyed by cache key. Before the first miss runs, an
+    unusable cache directory raises
     :class:`~repro.runner.cache.CacheDirectoryError`.
     """
     cache = cache if cache is not None else ResultCache()
     records: Dict[str, RunRecord] = {}
-    queued: Set[str] = set()
-    to_run: List[WorkItem] = []
+    cold: Dict[str, Tuple[str, ExperimentConfig]] = {}
     for exp_id, overrides in items:
         config = resolve_config(exp_id, overrides)
         key = cache_key(config)
-        if key in records or key in queued:
+        if key in records or key in cold:
             continue
         hit = cache.load(config) if use_cache and not force else None
         if hit is not None:
@@ -171,21 +193,70 @@ def run_cached(
             if progress is not None:
                 progress(hit, False)
         else:
-            queued.add(key)
-            to_run.append((exp_id, overrides))
+            cold[key] = (exp_id, config)
 
-    def collect(record: RunRecord) -> None:
-        records[record.cache_key] = record
+    def collect(key: str, exp_id: str, config: ExperimentConfig) -> None:
+        from repro.core.experiments import get_experiment
+
+        raw, seconds = _assemble(exp_id, config)
+        record = build_record(get_experiment(exp_id), config, raw, seconds, key=key)
+        del raw  # leave the memo's references the only ones
+        records[key] = record
         if use_cache:
             cache.store(record)
         if progress is not None:
             progress(record, True)
 
-    if to_run:
+    if cold:
         if use_cache:
             cache.check_directory()
-        run_parallel(plan(to_run), jobs=jobs, progress=collect)
+        with memo_scope():
+            _simulate(cold, jobs, collect)
     return records
+
+
+def _simulate(
+    cold: Dict[str, Tuple[str, ExperimentConfig]],
+    jobs: int,
+    collect: Callable[[str, str, ExperimentConfig], None],
+) -> None:
+    """Simulate the sides the ``cold`` records read that the memo lacks,
+    and ``collect`` each record once its sides are in.
+
+    In this process when at most one worker would be used: each record
+    in turn, its sides simulated as it is built. Otherwise each side
+    once, over ``min(jobs, sides)`` spawned workers, in the order the
+    records name them; a record still waiting when the pool is done (a
+    side another thread's scope released meanwhile) is built here.
+    """
+    from repro.core.experiments import get_experiment, sides_of
+
+    missing: Dict[str, Any] = {}
+    waiting: Dict[str, Set[str]] = {}
+    for key, (exp_id, config) in cold.items():
+        spec = get_experiment(exp_id)
+        sides = list(sides_of(spec, config).values())
+        for base in spec.after:
+            base_config = resolve_config(base, baseline_overrides(config))
+            sides.extend(sides_of(get_experiment(base), base_config).values())
+        waiting[key] = set()
+        for side in sides:
+            side_key = side.key()
+            waiting[key].add(side_key)
+            if side_key not in _MEMO:
+                missing.setdefault(side_key, side)
+
+    def arrived(side_key: str, run: Any) -> None:
+        _remember(side_key, run)
+        for key, reads in list(waiting.items()):
+            if all(read in _MEMO for read in reads):
+                del waiting[key]
+                collect(key, *cold[key])
+
+    if min(jobs, len(missing)) > 1:
+        run_sides(missing, jobs, arrived)
+    for key in list(waiting):
+        collect(key, *cold[key])
 
 
 def record_for(
@@ -197,13 +268,11 @@ def record_for(
 ) -> RunRecord:
     """One experiment's record: disk cache first, then an in-process run.
 
-    The run is a group of one, so unless a :func:`memo_scope` is
-    already open, the raw results it memoizes are released before this
-    returns.
+    Unless a :func:`memo_scope` is already open, the side runs it
+    memoizes are released before this returns.
     """
     (record,) = run_cached(
-        [(exp_id, overrides)], lambda items: [items], cache=cache,
-        use_cache=use_cache, force=force,
+        [(exp_id, overrides)], cache=cache, use_cache=use_cache, force=force,
     ).values()
     return record
 
@@ -228,7 +297,6 @@ def execute(
     overrides = overrides or {}
     records = run_cached(
         [(exp_id, overrides.get(exp_id)) for exp_id in exp_ids],
-        plan_groups,
         jobs=default_jobs() if jobs is None else max(1, jobs),
         cache=cache,
         use_cache=use_cache,

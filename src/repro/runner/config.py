@@ -209,24 +209,24 @@ class ExperimentConfig:
             "procs": self.procs,
             "seed": self.seed,
             "cache_bytes": self.cache_bytes,
-            "app": _jsonable(self.app),
-            "options": _jsonable(dict(self.options)),
+            "app": jsonable(self.app),
+            "options": jsonable(dict(self.options)),
             "machine": asdict(self.machine_params()),
             "backend": self.backend,
             "consistency": self.consistency,
         }
 
 
-def _jsonable(value: Any) -> Any:
+def jsonable(value: Any) -> Any:
     """Recursively convert configs to JSON-safe structures."""
     if is_dataclass(value) and not isinstance(value, type):
         out = {"__type__": type(value).__name__}
-        out.update({k: _jsonable(v) for k, v in asdict(value).items()})
+        out.update({k: jsonable(v) for k, v in asdict(value).items()})
         return out
     if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in sorted(value.items())}
+        return {str(k): jsonable(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [jsonable(v) for v in value]
     if value is None or isinstance(value, (str, int, float, bool)):
         return value
     raise TypeError(

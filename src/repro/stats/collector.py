@@ -21,6 +21,12 @@ from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional
 
 
+def _tally() -> Dict[object, int]:
+    """One phase's accumulator; a module-level factory (not a lambda), so
+    a board pickles and a side's result can leave its worker."""
+    return defaultdict(int)
+
+
 class ProcStats:
     """Cycle categories, event counters, and phase totals for one processor."""
 
@@ -32,12 +38,8 @@ class ProcStats:
         self.pid = pid
         self.cycles: Dict[object, int] = defaultdict(int)
         self.counts: Dict[str, int] = defaultdict(int)
-        self.phase_cycles: Dict[str, Dict[object, int]] = defaultdict(
-            lambda: defaultdict(int)
-        )
-        self.phase_counts: Dict[str, Dict[str, int]] = defaultdict(
-            lambda: defaultdict(int)
-        )
+        self.phase_cycles: Dict[str, Dict[object, int]] = defaultdict(_tally)
+        self.phase_counts: Dict[str, Dict[str, int]] = defaultdict(_tally)
         self._remaps: Dict[str, Mapping[object, object]] = dict(remaps or {})
         self._context_stack: List[str] = []
         self._phase_stack: List[str] = []

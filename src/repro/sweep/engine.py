@@ -8,9 +8,10 @@ through the runner harness:
    here, before any simulation).
 2. **Run** the points through :func:`~repro.runner.api.run_cached`:
    warm points come from the on-disk
-   :class:`~repro.runner.cache.ResultCache`, cold ones are sharded in
-   batches over the executor's spawned workers (``--jobs``), and each
-   finished record is stored as it arrives. The point records are the
+   :class:`~repro.runner.cache.ResultCache`, the distinct sides of the
+   cold ones are simulated once each over the executor's spawned
+   workers (``--jobs``), and each point's record is stored as soon as
+   its sides are in. The point records are the
    sweep's only stored form: rerunning an interrupted or enlarged
    sweep simulates only the missing points, and an immediate rerun
    simulates nothing.
@@ -26,7 +27,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.runner.api import run_cached
 from repro.runner.cache import ResultCache, cache_key
-from repro.runner.executor import default_jobs, plan_batches
+from repro.runner.executor import default_jobs
 from repro.runner.record import RunRecord
 from repro.stats.metrics import derive_metrics
 from repro.sweep.analysis import crossover_report
@@ -70,7 +71,6 @@ def run_sweep(
 
     records = run_cached(
         [(spec.exp_id, point.overrides) for point in points],
-        lambda items: plan_batches(items, jobs=jobs),
         jobs=jobs,
         cache=cache,
         use_cache=use_cache,

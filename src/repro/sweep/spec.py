@@ -128,12 +128,14 @@ class SweepSpec:
         """Expand the axes into ordered points (first axis outermost).
 
         Every point is resolved against the experiment's registered
-        :class:`~repro.runner.config.ExperimentConfig`, so an unknown
-        axis or an impossible value raises :class:`ValueError` here,
-        before any simulation. So does a second axis on a spec with
+        :class:`~repro.runner.config.ExperimentConfig`
+        (:func:`~repro.runner.api.resolve_config`), so an unknown axis,
+        an impossible value or one the experiment would refuse to run
+        raises :class:`ValueError` here, before any simulation. So does a second axis on a spec with
         shape checks, which read one series along one axis.
         """
         from repro.core.experiments import get_experiment
+        from repro.runner.api import resolve_config
 
         base_config = get_experiment(self.exp_id).config
         fragments = [
@@ -149,7 +151,7 @@ class SweepSpec:
                 SweepPoint(
                     coords={axis: value for axis, value, _frag in combo},
                     overrides=overrides,
-                    config=base_config.with_overrides(overrides),
+                    config=resolve_config(self.exp_id, overrides),
                 )
             )
         if self.checks is not None and len(self.axes) > 1:

@@ -212,6 +212,21 @@ def test_impossible_machine_rejected_where_the_config_is_built():
         resolve_config("validation", {"procs": 0})
     with pytest.raises(ValueError, match="cache_bytes must be >= 1, got 0"):
         ExperimentConfig(exp_id="x", cache_bytes=0)
+    # Per-experiment and per-app limits, on the condition each run checks.
+    with pytest.raises(ValueError, match="validation needs at least 2 processors, got 1"):
+        resolve_config("validation", {"procs": 1})
+    for app in ({"n": 0}, {"n": 4}):
+        with pytest.raises(ValueError, match="need at least one row per processor"):
+            resolve_config("gauss", {"procs": 8, "app": app})
+    with pytest.raises(ValueError, match="remote edges require at least two processors"):
+        resolve_config("em3d", {"procs": 1})
+    # gauss_contention's SM sides run at each of its proc_counts.
+    with pytest.raises(ValueError, match="n=96, 128 processors"):
+        resolve_config("gauss_contention", {"options": {"proc_counts": (4, 128)}})
+    # What the runs accept stays accepted.
+    resolve_config("gauss", {"procs": 8, "app": {"n": 8}})
+    resolve_config("em3d", {"procs": 1, "app": {"remote_frac": 0.0}})
+    resolve_config("validation", {"procs": 2})
 
 
 def test_unknown_experiment_suggests():

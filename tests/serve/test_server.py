@@ -261,10 +261,19 @@ class TestErrors:
             ("/v1/runs",
              {"experiment": "alcp", "overrides": {"options": {"asynchronus": False}}},
              "unknown alcp option 'asynchronus' (did you mean 'asynchronous'?)"),
+            ("/v1/runs", {"experiment": "validation", "overrides": {"procs": 1}},
+             "validation needs at least 2 processors, got 1"),
+            ("/v1/runs", {"experiment": "gauss", "overrides": {"procs": 8, "app": {"n": 4}}},
+             "need at least one row per processor: n=4, 8 processors"),
+            ("/v1/runs", {"experiment": "em3d", "overrides": {"procs": 1}},
+             "remote edges require at least two processors"),
+            ("/v1/sweeps", {"spec": "gauss-speedup", "axes": {"procs": [1, 2, 128]}},
+             "need at least one row per processor: n=64, 128 processors"),
         ],
         ids=["sweep-axis-typo", "sweep-negative-latency", "sweep-zero-procs",
              "sweep-second-axis", "run-zero-procs", "run-string-procs", "run-zero-cache",
-             "run-experiment-typo", "run-option-typo"],
+             "run-experiment-typo", "run-option-typo", "run-validation-one-proc",
+             "run-gauss-fewer-rows", "run-em3d-one-proc", "sweep-gauss-fewer-rows"],
     )
     def test_unrunnable_request_400_and_nothing_queued(
         self, server, path, body, message
