@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from repro.core.experiments import EXPERIMENTS
-from repro.runner.api import run_raw
+from repro.runner.api import baselines, run_raw
 from repro.runner.cache import cache_key
 
 
@@ -37,7 +37,7 @@ def run_and_check(benchmark, exp_id: str, extra: Dict[str, Any] = None) -> Any:
     benchmark.extra_info["cache_key"] = cache_key(spec.config)[:16]
     for key, value in (extra or {}).items():
         benchmark.extra_info[key] = value
-    checks = spec.shape(result)
+    checks = spec.shape(result, *baselines(exp_id, spec.config))
     for name, ok, detail in checks:
         benchmark.extra_info[f"check:{name}"] = detail
     failures = [f"{name}: {detail}" for name, ok, detail in checks if not ok]

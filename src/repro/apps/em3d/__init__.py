@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -31,9 +32,10 @@ class Em3dConfig:
     ) -> "Em3dConfig":
         return cls(nodes_per_proc, degree, remote_frac, iterations, seed)
 
-    def check(self, nprocs: int) -> None:
+    def check(self, nprocs: int, **side: Any) -> None:
         """Raise ``ValueError`` unless this graph builds on ``nprocs``
-        processors (the run-time check; configs are checked by it too)."""
+        processors (the run-time check; configs are checked by it too),
+        whatever the ``side`` keywords."""
         if not 0.0 <= self.remote_frac <= 1.0:
             raise ValueError("remote_frac must be in [0, 1]")
         if nprocs == 1 and self.remote_frac > 0.0:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -21,9 +22,10 @@ class GaussConfig:
         """A scaled-down configuration for tests."""
         return cls(n=n, seed=seed)
 
-    def check(self, nprocs: int) -> None:
+    def check(self, nprocs: int, **side: Any) -> None:
         """Raise ``ValueError`` unless this system runs on ``nprocs``
-        processors (the run-time check; configs are checked by it too)."""
+        processors (the run-time check; configs are checked by it too),
+        whatever the ``side`` keywords."""
         if self.n < nprocs:
             raise ValueError(
                 f"need at least one row per processor: n={self.n}, {nprocs} processors"

@@ -25,3 +25,14 @@ class LcpConfig:
     @classmethod
     def small(cls, n: int = 64, seed: int = 1994, **kwargs) -> "LcpConfig":
         return cls(n=n, seed=seed, **kwargs)
+
+    def check(self, nprocs: int, kind: str, asynchronous: bool = False) -> None:
+        """Raise ``ValueError`` unless the ``kind`` program (``"mp"`` or
+        ``"sm"``) runs on ``nprocs`` processors (the run-time check;
+        configs are checked by it too): synchronous LCP-MP reconciles its
+        copies by recursive doubling, which needs a power of two."""
+        if kind == "mp" and not asynchronous and nprocs & (nprocs - 1):
+            raise ValueError(
+                "synchronous LCP-MP uses recursive doubling: the processor "
+                f"count must be a power of two, got {nprocs}"
+            )

@@ -31,10 +31,6 @@ from repro.mp.machine import MpMachine, MpRunResult
 _BUILD_OPS_PER_NNZ = 20
 
 
-def _is_power_of_two(value: int) -> bool:
-    return value > 0 and value & (value - 1) == 0
-
-
 def _row_plans(ctx, problem, regions, z_region, lo, hi, omega):
     """Prebuild each row's sweep and residual bulk runs.
 
@@ -193,9 +189,7 @@ def run_lcp_mp(
     machine: MpMachine, config: LcpConfig, asynchronous: bool = False
 ) -> Tuple[MpRunResult, np.ndarray, int]:
     """Run LCP-MP (or ALCP-MP); returns (result, z, steps)."""
-    if not asynchronous and not _is_power_of_two(machine.nprocs):
-        raise ValueError("synchronous LCP-MP uses recursive doubling: "
-                         "the processor count must be a power of two")
+    config.check(machine.nprocs, "mp", asynchronous)
     problem = generate_problem(config)
     result = machine.run(lcp_mp_program, config, problem, asynchronous)
     z, steps = result.outputs[0]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -40,9 +41,10 @@ class MseConfig:
     def total_elements(self) -> int:
         return self.bodies * self.elements_per_body
 
-    def check(self, nprocs: int) -> None:
+    def check(self, nprocs: int, **side: Any) -> None:
         """Raise ``ValueError`` unless this problem runs on ``nprocs``
-        processors (the run-time check; configs are checked by it too)."""
+        processors (the run-time check; configs are checked by it too),
+        whatever the ``side`` keywords."""
         if self.bodies < nprocs:
             raise ValueError(
                 f"need at least one body per processor: bodies={self.bodies}, "

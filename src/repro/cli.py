@@ -68,7 +68,6 @@ from typing import List, Optional
 from repro.core.experiments import EXPERIMENTS, get_experiment
 from repro.runner.api import execute, resolve_config
 from repro.runner.cache import CacheDirectoryError, ResultCache
-from repro.runner.executor import default_jobs
 from repro.runner.record import RunRecord
 
 # ---------------------------------------------------------------------------
@@ -185,12 +184,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"repro run: error: {exc.args[0]}", file=sys.stderr)
         return 2
     overrides = {exp_id: dict(common) for exp_id in exp_ids} if common else None
-    jobs = args.jobs if args.jobs is not None else default_jobs()
     if args.check:
         # The checker instruments machine instances, so checked runs must
         # execute in this process and cannot reuse cached (unchecked)
         # records.
-        jobs = 1
         print(
             "running with the invariant checker installed "
             "(in-process, cache bypassed)",
@@ -229,7 +226,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         records = execute(
             exp_ids,
-            jobs=jobs,
+            jobs=args.jobs,
             use_cache=not args.no_cache,
             force=args.force,
             progress=progress,
@@ -438,6 +435,7 @@ def _parse_procs(text: str) -> List[int]:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro import api
+    from repro.runner.api import baselines
     from repro.runner.cache import cache_key
     from repro.runner.record import build_record
     from repro.trace.timeline import render_timeline
@@ -474,7 +472,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if full:
             record = build_record(
                 get_experiment(args.experiment), config, traced.result,
-                traced.elapsed_seconds, key=key,
+                traced.elapsed_seconds, baselines(args.experiment, config), key=key,
             )
             cache.store(record, trace=doc)
             where = f"{record.trace_path} ({ran})"
@@ -748,12 +746,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"repro serve: error: {exc}", file=sys.stderr)
         return 2
-    jobs = args.jobs if args.jobs is not None else 2
     try:
         api.serve(
             host=args.host,
             port=args.port,
-            jobs=jobs,
+            jobs=args.jobs,
             cache_bytes=cache_bytes,
             max_pending=args.max_pending,
             retention_seconds=args.job_ttl,
@@ -978,7 +975,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--port", type=int, default=8737,
                               help="bind port (default: 8737; 0 picks an "
                                    "ephemeral port)")
-    serve_parser.add_argument("--jobs", "-j", type=int, default=None,
+    serve_parser.add_argument("--jobs", "-j", type=int, default=2,
                               metavar="N",
                               help="simulation worker threads, each "
                                    "driving one spawned worker process "

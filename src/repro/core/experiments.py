@@ -61,13 +61,16 @@ class ExperimentSpec:
     description: str
     runner: Callable[[ExperimentConfig], Any]
     config: ExperimentConfig
-    shape: Callable[[Any], List[ShapeCheck]]
+    #: The shape checks: ``shape(result, *baselines)``, with one
+    #: baseline raw result per ``after`` entry.
+    shape: Callable[..., List[ShapeCheck]]
     paper: Dict[str, Any] = field(default_factory=dict)
     notes: str = ""
-    #: Baselines this experiment's shape checks compare against
-    #: (through :func:`repro.runner.api.baseline`, on this run's
-    #: backend, memory model and preset); the runner simulates their
-    #: sides with this experiment's, so the memo serves the comparison.
+    #: Baselines this experiment's shape checks compare against, run on
+    #: this run's backend, memory model and preset
+    #: (:func:`repro.runner.api.baselines`); the runner simulates their
+    #: sides with this experiment's and passes their raw results to
+    #: ``shape``.
     after: Tuple[str, ...] = ()
     #: Check names that pin claims specific to the paper's 1994 machine
     #: (latency/overhead ratios that legitimately flip under the modern
@@ -243,10 +246,12 @@ class Side:
 
     def check(self) -> None:
         """Raise :class:`ValueError` where the app would refuse this run
-        (an app config without ``check`` refuses nothing)."""
+        (an app config without ``check`` refuses nothing). The app's
+        check reads the processor count, the machine kind and the
+        program's keywords."""
         check = getattr(self.config.app, "check", None)
         if self.kind != "run" and check is not None:
-            check(self.procs or self.config.procs)
+            check(self.procs or self.config.procs, kind=self.kind, **dict(self.program))
 
 
 @dataclass
@@ -715,10 +720,7 @@ def _em3d_shape(pair: PairResult) -> List[ShapeCheck]:
     ]
 
 
-def _em3d_bigcache_shape(pair: PairResult) -> List[ShapeCheck]:
-    from repro.runner.api import baseline
-
-    base = baseline("em3d")
+def _em3d_bigcache_shape(pair: PairResult, base: PairResult) -> List[ShapeCheck]:
     base_sm = base.sm_breakdown(phase="main")
     big_sm = pair.sm_breakdown(phase="main")
     base_misses = base.sm_counts(phase="main").shared_misses
@@ -732,10 +734,7 @@ def _em3d_bigcache_shape(pair: PairResult) -> List[ShapeCheck]:
     ]
 
 
-def _em3d_localalloc_shape(pair: PairResult) -> List[ShapeCheck]:
-    from repro.runner.api import baseline
-
-    base = baseline("em3d")
+def _em3d_localalloc_shape(pair: PairResult, base: PairResult) -> List[ShapeCheck]:
     base_remote = base.sm_counts(phase="main").remote_fraction
     local_remote = pair.sm_counts(phase="main").remote_fraction
     base_total = base.sm_breakdown(phase="main").total
@@ -790,10 +789,7 @@ def _lcp_shape(pair: PairResult) -> List[ShapeCheck]:
     ]
 
 
-def _alcp_shape(pair: PairResult) -> List[ShapeCheck]:
-    from repro.runner.api import baseline
-
-    sync = baseline("lcp")
+def _alcp_shape(pair: PairResult, sync: PairResult) -> List[ShapeCheck]:
     sync_steps = sync.extra["sm_steps"]
     async_steps = pair.extra["sm_steps"]
     sync_intensity = sync.mp_counts().comp_cycles_per_data_byte

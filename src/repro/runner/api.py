@@ -3,50 +3,39 @@
 * :func:`run_raw` — run one experiment in this process and return the
   *raw* result object (a :class:`~repro.core.study.PairResult` or
   result dict), assembled from its sides' runs
-  (:class:`~repro.core.experiments.Side`), each memoized until the
-  :func:`memo_scope` that ran it (if any) exits, or
-  :func:`clear_memory_cache` drops it. This is what the benchmarks
-  use; shape checks that compare against a baseline run reach it
-  through :func:`baseline`.
+  (:class:`~repro.core.experiments.Side`), each memoized until
+  :func:`clear_memory_cache`. This is what the benchmarks use.
 * :func:`record_for` — one experiment as a serializable
   :class:`~repro.runner.record.RunRecord`, served from the on-disk
-  cache when possible (zero simulation on a warm cache). Sides it
-  simulates are released when its :func:`memo_scope` exits.
+  cache when possible (zero simulation on a warm cache).
 * :func:`execute` — the fan-out driver behind ``python -m repro run``:
   cache lookups, each distinct side simulated once over the workers,
   progress reporting, and cache write-back.
 
 Both, and the sweep engine, go through :func:`run_cached`: the one
 loop that serves cache hits, simulates each distinct side of the
-misses once and stores each record as soon as its sides are in.
+misses once and stores each record as soon as its sides are in. A
+dependent's shape checks (``ExperimentSpec.after``) take their
+baselines' raw results as arguments; :func:`baselines` resolves them.
 """
 
 from __future__ import annotations
 
 import gc
 from collections import OrderedDict
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import (
-    Any, Callable, Dict, Iterator, Mapping, Optional, Sequence, Set, Tuple,
-)
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.runner.cache import ResultCache, cache_key
 from repro.runner.config import ExperimentConfig
 from repro.runner.executor import WorkItem, default_jobs, run_sides
-from repro.runner.record import SHAPE_CONFIG, RunRecord, build_record
+from repro.runner.record import RunRecord, build_record
 
-#: In-process memo of side runs (:class:`~repro.core.experiments.SideRun`),
-#: keyed by :meth:`~repro.core.experiments.Side.key`. A side run holds a
-#: board, not a machine; the disk cache stores the serializable records
+#: :func:`run_raw`'s memo of side runs
+#: (:class:`~repro.core.experiments.SideRun`), keyed by
+#: :meth:`~repro.core.experiments.Side.key`. A side run holds a board,
+#: not a machine; the disk cache stores the serializable records
 #: instead.
 _MEMO: Dict[str, Any] = {}
-
-#: The memo keys owned by the outermost :func:`memo_scope` open in this
-#: thread, if any.
-_SCOPE: ContextVar[Optional[Set[str]]] = ContextVar("repro_memo_scope", default=None)
-
-_MISSING = object()
 
 
 def resolve_config(
@@ -69,92 +58,57 @@ def resolve_config(
 
 def run_raw(exp_id: str, overrides: Optional[Mapping[str, Any]] = None) -> Any:
     """Run one experiment in-process; each of its sides memoized."""
-    return _assemble(exp_id, resolve_config(exp_id, overrides))[0]
+    return _assemble(exp_id, resolve_config(exp_id, overrides), _MEMO)[0]
 
 
-def _assemble(exp_id: str, config: ExperimentConfig) -> Tuple[Any, float]:
+def _assemble(exp_id: str, config: ExperimentConfig,
+              runs: Dict[str, Any]) -> Tuple[Any, float]:
     """``exp_id``'s raw result for ``config``, and the seconds its
-    sides' simulations took; a side not in the memo is simulated here."""
+    sides' simulations took, from ``runs`` (side runs by key); a side
+    ``runs`` lacks is simulated here and added to it."""
     from repro.core.experiments import assemble, get_experiment, run_side, sides_of
 
     spec = get_experiment(exp_id)
-    runs = {}
+    mine = {}
     for name, side in sides_of(spec, config).items():
         key = side.key()
-        run = _MEMO.get(key, _MISSING)
-        if run is _MISSING:
-            run = _remember(key, run_side(side))
-        runs[name] = run
-    return assemble(spec, config, runs), sum(run.seconds for run in runs.values())
-
-
-def _remember(key: str, run: Any) -> Any:
-    """Memoize a side's run, owned by this thread's :func:`memo_scope`."""
-    _MEMO[key] = run
-    owned = _SCOPE.get()
-    if owned is not None:
-        owned.add(key)
-    return run
+        run = runs.get(key)
+        if run is None:
+            run = runs[key] = run_side(side)
+        mine[name] = run
+    return assemble(spec, config, mine), sum(run.seconds for run in mine.values())
 
 
 def clear_memory_cache() -> None:
-    """Drop the in-process side memo (tests use this)."""
+    """Drop :func:`run_raw`'s side memo (tests use this)."""
     _MEMO.clear()
 
 
-def baseline_overrides(config: ExperimentConfig) -> Dict[str, Any]:
-    """The overrides a dependent's baselines run under: the dependent's
-    backend, memory model and machine preset, so a comparison never
-    mixes two machines."""
-    return {
+def _baseline_configs(
+    exp_id: str, config: ExperimentConfig
+) -> List[Tuple[str, ExperimentConfig]]:
+    """Each baseline ``exp_id``'s run of ``config`` compares against, with
+    its config: its registered one on ``config``'s backend, memory model
+    and machine preset, so a comparison never mixes two machines."""
+    from repro.core.experiments import get_experiment
+
+    overrides = {
         "backend": config.backend,
         "consistency": config.consistency,
         "preset": config.preset,
     }
+    return [(base, resolve_config(base, overrides)) for base in get_experiment(exp_id).after]
 
 
-def baseline(exp_id: str) -> Any:
-    """A baseline's raw result, for a shape check that compares against it.
-
-    While a record is being built, the baseline runs under
-    :func:`baseline_overrides` of that record's config; a shape check
-    called directly gets the baseline's registered config.
-    """
-    config = SHAPE_CONFIG.get()
-    return run_raw(exp_id, None if config is None else baseline_overrides(config))
-
-
-def memo_keys() -> Set[str]:
-    """The keys of the side runs the memo holds now."""
-    return set(_MEMO)
-
-
-@contextmanager
-def memo_scope() -> Iterator[None]:
-    """Own the side runs memoized in this thread until the block exits.
-
-    The outermost scope in a thread owns every entry memoized inside it;
-    a nested scope joins it. When the outermost scope exits, it drops
-    those entries and runs one ``gc.collect()``, which reclaims the
-    machines its runs built (machines are reference cycles, so nothing
-    frees them until the cycle collector runs). It never drops an entry
-    a caller memoized before it, nor one another thread memoized (the
-    ``repro serve`` queue with the in-process executor runs jobs on two
-    threads).
-    """
-    if _SCOPE.get() is not None:
-        yield
-        return
-    owned: Set[str] = set()
-    token = _SCOPE.set(owned)
-    try:
-        yield
-    finally:
-        _SCOPE.reset(token)
-        for key in owned:
-            _MEMO.pop(key, None)
-        if owned:
-            gc.collect()
+def baselines(exp_id: str, config: ExperimentConfig,
+              runs: Optional[Dict[str, Any]] = None) -> List[Any]:
+    """The raw results ``exp_id``'s shape checks compare its run of
+    ``config`` against, one per ``after`` entry, assembled from ``runs``
+    (side runs by key; by default :func:`run_raw`'s memo), which gains
+    any side it lacks."""
+    runs = _MEMO if runs is None else runs
+    return [_assemble(base, base_config, runs)[0]
+            for base, base_config in _baseline_configs(exp_id, config)]
 
 
 def run_cached(
@@ -178,6 +132,11 @@ def run_cached(
     Returns records keyed by cache key. Before the first miss runs, an
     unusable cache directory raises
     :class:`~repro.runner.cache.CacheDirectoryError`.
+
+    The side runs live in one dict of the call's own, seeded from
+    :func:`run_raw`'s memo and never written back. When the call
+    returns, the dict goes and one ``gc.collect()`` reclaims the
+    machines its sides built (reference cycles, as machines are).
     """
     cache = cache if cache is not None else ResultCache()
     records: Dict[str, RunRecord] = {}
@@ -195,12 +154,14 @@ def run_cached(
         else:
             cold[key] = (exp_id, config)
 
-    def collect(key: str, exp_id: str, config: ExperimentConfig) -> None:
+    def collect(key: str) -> None:
         from repro.core.experiments import get_experiment
 
-        raw, seconds = _assemble(exp_id, config)
-        record = build_record(get_experiment(exp_id), config, raw, seconds, key=key)
-        del raw  # leave the memo's references the only ones
+        exp_id, config = cold[key]
+        raw, seconds = _assemble(exp_id, config, runs)
+        record = build_record(get_experiment(exp_id), config, raw, seconds,
+                              baselines(exp_id, config, runs), key=key)
+        del raw  # leave the side runs' references the only ones
         records[key] = record
         if use_cache:
             cache.store(record)
@@ -210,53 +171,55 @@ def run_cached(
     if cold:
         if use_cache:
             cache.check_directory()
-        with memo_scope():
-            _simulate(cold, jobs, collect)
+        runs = dict(_MEMO)
+        try:
+            _simulate(cold, jobs, runs, collect)
+        finally:
+            runs.clear()
+            gc.collect()
     return records
 
 
 def _simulate(
     cold: Dict[str, Tuple[str, ExperimentConfig]],
     jobs: int,
-    collect: Callable[[str, str, ExperimentConfig], None],
+    runs: Dict[str, Any],
+    collect: Callable[[str], None],
 ) -> None:
-    """Simulate the sides the ``cold`` records read that the memo lacks,
-    and ``collect`` each record once its sides are in.
+    """Simulate each side the ``cold`` records read that ``runs`` lacks,
+    once, in the order the records name them, and ``collect`` each
+    record as soon as its sides are in ``runs``: in this process when
+    at most one worker would be used, otherwise over
+    ``min(jobs, sides)`` spawned workers."""
+    from repro.core.experiments import get_experiment, run_side, sides_of
 
-    In this process when at most one worker would be used: each record
-    in turn, its sides simulated as it is built. Otherwise each side
-    once, over ``min(jobs, sides)`` spawned workers, in the order the
-    records name them; a record still waiting when the pool is done (a
-    side another thread's scope released meanwhile) is built here.
-    """
-    from repro.core.experiments import get_experiment, sides_of
-
-    missing: Dict[str, Any] = {}
-    waiting: Dict[str, Set[str]] = {}
+    waiting: Dict[str, Dict[str, Any]] = {}
     for key, (exp_id, config) in cold.items():
-        spec = get_experiment(exp_id)
-        sides = list(sides_of(spec, config).values())
-        for base in spec.after:
-            base_config = resolve_config(base, baseline_overrides(config))
-            sides.extend(sides_of(get_experiment(base), base_config).values())
-        waiting[key] = set()
-        for side in sides:
-            side_key = side.key()
-            waiting[key].add(side_key)
-            if side_key not in _MEMO:
-                missing.setdefault(side_key, side)
+        reads = [(exp_id, config)] + _baseline_configs(exp_id, config)
+        waiting[key] = {
+            side.key(): side
+            for read_id, read_config in reads
+            for side in sides_of(get_experiment(read_id), read_config).values()
+        }
+    missing = {side_key: side for reads in waiting.values()
+               for side_key, side in reads.items() if side_key not in runs}
+
+    def collect_ready() -> None:
+        for key, reads in list(waiting.items()):
+            if reads.keys() <= runs.keys():
+                del waiting[key]
+                collect(key)
 
     def arrived(side_key: str, run: Any) -> None:
-        _remember(side_key, run)
-        for key, reads in list(waiting.items()):
-            if all(read in _MEMO for read in reads):
-                del waiting[key]
-                collect(key, *cold[key])
+        runs[side_key] = run
+        collect_ready()
 
+    collect_ready()  # records whose sides the memo already held
     if min(jobs, len(missing)) > 1:
         run_sides(missing, jobs, arrived)
-    for key in list(waiting):
-        collect(key, *cold[key])
+    else:
+        for side_key, side in missing.items():
+            arrived(side_key, run_side(side))
 
 
 def record_for(
@@ -266,11 +229,8 @@ def record_for(
     use_cache: bool = True,
     force: bool = False,
 ) -> RunRecord:
-    """One experiment's record: disk cache first, then an in-process run.
-
-    Unless a :func:`memo_scope` is already open, the side runs it
-    memoizes are released before this returns.
-    """
+    """One experiment's record: disk cache first, then an in-process run,
+    whose side runs are released before this returns."""
     (record,) = run_cached(
         [(exp_id, overrides)], cache=cache, use_cache=use_cache, force=force,
     ).values()

@@ -247,7 +247,7 @@ class ResultCache:
             # the remembered identity takes its mtime, so it forces no
             # re-read.
             blob.touch()
-            self._remember(name, blob.identity, data)
+            self._memoize(name, blob.identity, data)
         return data
 
     @staticmethod
@@ -270,7 +270,7 @@ class ResultCache:
             data = RunRecord.from_jsonable(data).to_jsonable()
         return data
 
-    def _remember(
+    def _memoize(
         self, name: str, identity: FileIdentity, data: Dict[str, Any]
     ) -> None:
         with self._memo_lock:

@@ -10,19 +10,14 @@ enough to re-print, score, and export a run without re-simulating.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.study import PairResult
 
 #: Bump when the record layout changes; stored records with another
 #: schema are treated as cache misses.
 RECORD_SCHEMA = 1
-
-#: The config whose shape checks :func:`build_record` is running;
-#: :func:`repro.runner.api.baseline` resolves baselines against it.
-SHAPE_CONFIG: ContextVar[Optional[Any]] = ContextVar("repro_shape_config", default=None)
 
 
 @dataclass
@@ -176,16 +171,20 @@ def build_record(
     config: Any,
     result: Any,
     elapsed_seconds: float,
+    baselines: Sequence[Any] = (),
     key: Optional[str] = None,
 ) -> RunRecord:
-    """Assemble the serializable record for one finished run."""
+    """Assemble the serializable record for one finished run.
+
+    ``baselines`` are the raw results of the runs ``spec.after`` names,
+    in that order (:func:`repro.runner.api.baselines`); the shape checks
+    compare ``result`` against them.
+    """
     from repro.runner.cache import cache_key
 
-    token = SHAPE_CONFIG.set(config)
-    try:
-        checks = [[name, bool(ok), detail] for name, ok, detail in spec.shape(result)]
-    finally:
-        SHAPE_CONFIG.reset(token)
+    checks = [
+        [name, bool(ok), detail] for name, ok, detail in spec.shape(result, *baselines)
+    ]
     # Claims pinned to the paper's 1994 machine gate only the paper
     # preset; under the modern presets they are recorded as waived, not
     # failed (the detail keeps the measured numbers for the artifact

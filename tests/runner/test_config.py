@@ -223,10 +223,15 @@ def test_impossible_machine_rejected_where_the_config_is_built():
     # gauss_contention's SM sides run at each of its proc_counts.
     with pytest.raises(ValueError, match="n=96, 128 processors"):
         resolve_config("gauss_contention", {"options": {"proc_counts": (4, 128)}})
-    # What the runs accept stays accepted.
+    # Synchronous LCP-MP reconciles by recursive doubling.
+    with pytest.raises(ValueError, match="must be a power of two, got 6"):
+        resolve_config("lcp", {"procs": 6})
+    # What the runs accept stays accepted: the asynchronous variant and
+    # the SM side run on any count.
     resolve_config("gauss", {"procs": 8, "app": {"n": 8}})
     resolve_config("em3d", {"procs": 1, "app": {"remote_frac": 0.0}})
     resolve_config("validation", {"procs": 2})
+    resolve_config("alcp", {"procs": 6})
 
 
 def test_unknown_experiment_suggests():

@@ -7,6 +7,7 @@ feature), so they run in seconds.
 
 import dataclasses
 import gc
+import inspect
 import os
 import pickle
 import threading
@@ -21,7 +22,6 @@ from repro.runner import api
 from repro.runner.cache import ResultCache
 from repro.runner.config import ExperimentConfig
 from repro.runner.executor import default_jobs
-from repro.runner.record import build_record
 
 #: A small Gauss pair: the cheapest real two-machine experiment.
 SMALL_GAUSS = {"procs": 4, "app": {"n": 40}}
@@ -34,7 +34,7 @@ EM3D_FAMILY = ("em3d", "em3d_bigcache", "em3d_localalloc", "em3d_protocols")
 
 @pytest.fixture(autouse=True)
 def _fresh_memo():
-    """The in-process memo is module state; isolate it per test."""
+    """run_raw's memo is module state; isolate it per test."""
     api.clear_memory_cache()
     yield
     api.clear_memory_cache()
@@ -148,7 +148,7 @@ def test_one_simulation_per_distinct_side(simulated, tmp_path):
     assert simulated == EM3D_SIDES  # five simulations, not eight
     # A record's time is the sum of the sides it reads, shared ones too.
     assert records["em3d_protocols"].elapsed_seconds > records["em3d"].elapsed_seconds
-    assert api.memo_keys() == set()
+    assert api._MEMO == {}  # the call's side runs were its own
 
 
 def test_a_dependent_alone_reads_its_baselines_sides(simulated, tmp_path):
@@ -158,7 +158,7 @@ def test_a_dependent_alone_reads_its_baselines_sides(simulated, tmp_path):
     assert simulated == {
         ("mp", None, None): 1, ("sm", "local", "base"): 1, ("sm", "round_robin", "base"): 1,
     }
-    assert api.memo_keys() == set()
+    assert api._MEMO == {}
 
 
 @pytest.mark.slow
@@ -200,7 +200,7 @@ def test_run_raw_memoizes_per_config():
 
 def test_run_raw_assembles_a_pair_from_memoized_sides():
     first = api.run_raw("gauss", SMALL_GAUSS)
-    assert len(api.memo_keys()) == 2
+    assert len(api._MEMO) == 2
     again = api.run_raw("gauss", SMALL_GAUSS)
     assert again.mp_result is first.mp_result
     assert again.sm_result is first.sm_result
@@ -347,7 +347,8 @@ def test_shipped_sides_serve_every_record_that_reads_them(machines, shipped, tmp
     assert shipped.log == ["side fake_dep", "side fake_base", "record fake_dep",
                            "record fake_base"]
     assert sorted(r.exp_id for _path, r in cache.entries()) == ["fake_base", "fake_dep"]
-    assert api.memo_keys() == set()
+    assert _alive(machines, "fake_base") == [False]
+    assert api._MEMO == {}
 
 
 def test_a_lone_dependent_ships_its_baseline_on_its_own_machine(machines, shipped):
@@ -355,7 +356,8 @@ def test_a_lone_dependent_ships_its_baseline_on_its_own_machine(machines, shippe
     ((keys, _jobs),) = shipped
     assert len(keys) == 2
     assert [preset for preset, _ref in machines["fake_base"]] == ["cluster"]
-    assert api.memo_keys() == set()
+    assert _alive(machines, "fake_base") == [False]
+    assert api._MEMO == {}
 
 
 def test_a_failed_side_stores_what_finished(machines, shipped, tmp_path, monkeypatch):
@@ -369,7 +371,7 @@ def test_a_failed_side_stores_what_finished(machines, shipped, tmp_path, monkeyp
     with pytest.raises(RuntimeError, match="side failed"):
         api.execute(["fake_a", "fake_b"], jobs=2, cache=cache)
     assert [r.exp_id for _path, r in cache.entries()] == ["fake_a"]
-    assert api.memo_keys() == set()
+    assert api._MEMO == {}
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +446,7 @@ def test_dependent_shape_checks_work_in_one_group(tmp_path, monkeypatch):
         calls.append("dep")
         return {"total": 5.0}
 
-    def dep_shape(result):
-        base = api.run_raw("fake_base")
+    def dep_shape(result, base):
         return [("improves", result["total"] < base["total"], "ok")]
 
     base_spec = experiments.ExperimentSpec(
@@ -465,7 +466,7 @@ def test_dependent_shape_checks_work_in_one_group(tmp_path, monkeypatch):
         ["fake_base", "fake_dep"], jobs=1, cache=ResultCache(tmp_path)
     )
     assert records["fake_dep"].all_ok
-    # The baseline ran once; the dep's shape check reused the memo.
+    # The baseline ran once; its run served the dep's shape check.
     assert calls == ["base", "dep"]
     api.clear_memory_cache()
 
@@ -518,8 +519,7 @@ def machines(monkeypatch):
     with its dependent ``fake_dep``; returns the runners' weakrefs."""
     machines = {}
 
-    def dep_shape(result):
-        base = api.baseline("fake_base")
+    def dep_shape(result, base):
         # The baseline is still alive while its dependent is checked.
         return [("baseline alive", base["run"].machine is not None, "ok")]
 
@@ -541,12 +541,12 @@ def test_run_group_releases_each_machine(machines):
     assert [r.exp_id for r in records.values()] == ["fake_a", "fake_b"]
     assert _alive(machines, "fake_a") == [False]
     assert _alive(machines, "fake_b") == [False]
-    assert api.memo_keys() == set()
+    assert api._MEMO == {}
 
 
 def test_in_process_run_parallel_releases_each_machine(machines):
-    """An in-process run's side runs share one memo lifetime: each
-    lives until the last record is built, then all are released."""
+    """An in-process run's side runs share one lifetime, the call's:
+    each lives until the last record is built, then all are released."""
     seen = []
 
     def progress(record):
@@ -557,24 +557,26 @@ def test_in_process_run_parallel_releases_each_machine(machines):
     assert seen == [("fake_a", [True]), ("fake_b", [True])]
     assert _alive(machines, "fake_a") == [False]
     assert _alive(machines, "fake_b") == [False]
-    assert api.memo_keys() == set()
+    assert api._MEMO == {}
 
 
 def test_a_run_keeps_sides_it_did_not_memoize(machines):
     mine = api.run_raw("fake_a")
     api.execute(["fake_a", "fake_b"], jobs=1, use_cache=False)
-    # A direct caller's memo entry survives, and served the run.
+    # A direct caller's memo entry survives, and served the run; the
+    # run wrote nothing back.
     assert api.run_raw("fake_a") is mine
     assert _alive(machines, "fake_a") == [True]
     assert _alive(machines, "fake_b") == [False]
     assert len(machines["fake_a"]) == 1
+    assert len(api._MEMO) == 1
 
 
 def test_record_for_releases_the_machine(machines, tmp_path):
     record = api.record_for("fake_a", cache=ResultCache(tmp_path))
     assert record.all_ok
     assert _alive(machines, "fake_a") == [False]
-    assert api.memo_keys() == set()
+    assert api._MEMO == {}
 
 
 def test_baseline_lives_until_its_last_dependent_is_checked(machines, monkeypatch):
@@ -592,10 +594,10 @@ def test_baseline_lives_until_its_last_dependent_is_checked(machines, monkeypatc
     records = api.execute(["fake_base", "fake_dep"], jobs=1, use_cache=False)
     assert all(r.all_ok for r in records.values())
     assert alive_at_dep == [[True]]
-    # Simulated once, served to the dependent from the memo, then released.
+    # Simulated once, served to the dependent, then released.
     assert _alive(machines, "fake_base") == [False]
     assert _alive(machines, "fake_dep") == [False]
-    assert api.memo_keys() == set()
+    assert api._MEMO == {}
 
 
 def _with_runner(exp_id, wrap, monkeypatch):
@@ -607,7 +609,7 @@ def _with_runner(exp_id, wrap, monkeypatch):
 
 
 def test_independent_items_are_reclaimed_once_per_group(machines, monkeypatch):
-    """One collection per run, at the end of its memo scope."""
+    """One collection per run, as it returns."""
     collections = []
     monkeypatch.setattr(gc, "collect", lambda *args: collections.append(args))
     api.execute(["fake_a", "fake_b", "fake_base"], jobs=1, use_cache=False)
@@ -615,19 +617,12 @@ def test_independent_items_are_reclaimed_once_per_group(machines, monkeypatch):
     collections.clear()
     api.execute(["fake_base", "fake_dep"], jobs=1, use_cache=False)
     assert len(collections) == 1
-    collections.clear()
-    # A nested scope joins the outermost one: one collection, at its end.
-    with api.memo_scope():
-        api.execute(["fake_a"], jobs=1, use_cache=False)
-        api.execute(["fake_b"], jobs=1, use_cache=False)
-        assert collections == []
-    assert len(collections) == 1
 
 
 def test_a_group_on_another_thread_keeps_its_baseline(machines, monkeypatch):
     """Two runs at once on two threads, as the ``repro serve`` queue
-    runs them: a run that finishes releases only what it memoized
-    itself, not a baseline the other run is still using."""
+    runs them: a run that finishes releases only its own side runs,
+    not a baseline the other run is still using."""
     a_started, base_done, a_done = threading.Event(), threading.Event(), threading.Event()
 
     def hold_a(runner):
@@ -661,10 +656,10 @@ def test_a_group_on_another_thread_keeps_its_baseline(machines, monkeypatch):
     dependent.join(timeout=30)
     assert list(records["a"]) == ["fake_a"]
     assert all(r.all_ok for r in records["dep"].values())
-    # The dependent's check was served the baseline its run memoized.
+    # The dependent's check was served the baseline its run simulated.
     assert len(machines["fake_base"]) == 1
     assert _alive(machines, "fake_base") == [False]
-    assert api.memo_keys() == set()
+    assert api._MEMO == {}
 
 
 def test_in_process_groups_share_a_baseline_until_the_last_is_done(machines, tmp_path):
@@ -680,7 +675,7 @@ def test_in_process_groups_share_a_baseline_until_the_last_is_done(machines, tmp
     assert seen == [[True], [True]]
     assert len(machines["fake_base"]) == 1
     assert _alive(machines, "fake_base") == [False]
-    assert api.memo_keys() == set()
+    assert api._MEMO == {}
 
 
 def test_dependent_group_runs_its_baseline_once_on_the_dependents_preset(machines):
@@ -690,7 +685,7 @@ def test_dependent_group_runs_its_baseline_once_on_the_dependents_preset(machine
     assert all(r.all_ok for r in records.values())
     assert [preset for preset, _ref in machines["fake_base"]] == ["cluster"]
     assert [preset for preset, _ref in machines["fake_dep"]] == ["cluster"]
-    assert api.memo_keys() == set()
+    assert api._MEMO == {}
 
 
 def test_a_lone_dependent_simulates_and_releases_its_baseline(machines):
@@ -698,7 +693,27 @@ def test_a_lone_dependent_simulates_and_releases_its_baseline(machines):
                 overrides={"fake_dep": {"preset": "cluster"}})
     assert [preset for preset, _ref in machines["fake_base"]] == ["cluster"]
     assert _alive(machines, "fake_base") == [False]
-    assert api.memo_keys() == set()
+    assert api._MEMO == {}
+
+
+def test_a_traced_dependent_checks_as_its_record_does(machines, tmp_path):
+    """``repro trace`` builds its record outside ``run_cached``; its
+    checks get the baseline too, and read what a fresh record's do."""
+    assert main(["trace", "fake_dep"]) == 0
+    (traced,) = [record for _path, record in ResultCache().entries()]
+    fresh = api.record_for("fake_dep", cache=ResultCache(tmp_path / "fresh"))
+    assert traced.checks == fresh.checks == [["baseline alive", True, "ok"]]
+
+
+def test_a_traced_dependent_reads_its_baseline_on_its_own_machine(machines, monkeypatch):
+    spec = experiments.EXPERIMENTS["fake_dep"]
+    monkeypatch.setitem(
+        experiments.EXPERIMENTS, "fake_dep",
+        dataclasses.replace(spec, config=spec.config.with_overrides({"preset": "cluster"})),
+    )
+    assert main(["trace", "fake_dep"]) == 0
+    assert [preset for preset, _ref in machines["fake_dep"]] == ["cluster"]
+    assert [preset for preset, _ref in machines["fake_base"]] == ["cluster"]
 
 
 @pytest.mark.parametrize(
@@ -706,18 +721,27 @@ def test_a_lone_dependent_simulates_and_releases_its_baseline(machines):
 )
 def test_registered_dependents_compare_on_their_own_machine(dependent, base, monkeypatch):
     """The registry's baselines run on the dependent's backend, memory
-    model and preset (the simulation is stubbed out: the first thing
-    each shape check does is ask for its baseline)."""
+    model and preset, and at their own registered workload and size
+    (the simulation is stubbed out: ``baselines`` asks for the
+    baseline's first side, and the test reads that side's config)."""
 
     class Asked(Exception):
         pass
 
-    def run_raw(exp_id, overrides=None):
-        raise Asked(exp_id, overrides)
+    def run_side(side):
+        raise Asked(side.config)
 
-    monkeypatch.setattr(api, "run_raw", run_raw)
+    monkeypatch.setattr(experiments, "run_side", run_side)
     machine = {"backend": "reference", "consistency": "tso", "preset": "cluster"}
     config = api.resolve_config(dependent, dict(machine, procs=4))
     with pytest.raises(Asked) as asked:
-        build_record(experiments.EXPERIMENTS[dependent], config, None, 0.0)
-    assert asked.value.args == (base, machine)
+        api.baselines(dependent, config, {})
+    (asked_config,) = asked.value.args
+    assert asked_config == api.resolve_config(base, machine)
+    assert asked_config.procs == experiments.EXPERIMENTS[base].config.procs
+
+
+def test_each_shape_check_takes_one_baseline_per_after_entry():
+    for spec in experiments.EXPERIMENTS.values():
+        params = inspect.signature(spec.shape).parameters
+        assert len(params) == 1 + len(spec.after), spec.id

@@ -95,7 +95,7 @@ def test_in_process_sweep_holds_no_point_and_spares_the_callers_memo(fake, tmp_p
     mine = api.run_raw("fake_sweep", {"procs": 9})
     run_sweep(_spec(), jobs=1, cache=ResultCache(tmp_path))
     assert api.run_raw("fake_sweep", {"procs": 9}) is mine
-    assert len(api.memo_keys()) == 1
+    assert len(api._MEMO) == 1
 
 
 def test_force_resimulates_everything(fake, tmp_path):

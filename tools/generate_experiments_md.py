@@ -23,6 +23,7 @@ from repro.api import run_raw
 from repro.core.experiments import EXPERIMENTS
 from repro.core.study import PairResult
 from repro.core.tables import render_pair
+from repro.runner.api import baselines
 
 SWEEP_BEGIN = "<!-- sweep-sensitivity:begin -->"
 SWEEP_END = "<!-- sweep-sensitivity:end -->"
@@ -112,7 +113,7 @@ def render_experiment(exp_id: str) -> str:
             )
         lines.append("```")
     lines += ["", "**Shape checks:**", ""]
-    for name, ok, detail in spec.shape(result):
+    for name, ok, detail in spec.shape(result, *baselines(exp_id, spec.config)):
         mark = "PASS" if ok else "FAIL"
         lines.append(f"- [{mark}] {name} — {detail}")
     if spec.notes:
